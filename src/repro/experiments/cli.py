@@ -542,18 +542,19 @@ def _run_figure(args: argparse.Namespace, config: ExperimentConfig) -> FigureRes
     raise ValueError(f"unknown figure {args.figure!r}")  # pragma: no cover
 
 
-def _parse_params(pairs: Sequence[str],
+def _parse_params(pairs: Sequence[str], flag: str,
                   allow_str: bool = False) -> Dict[str, object]:
-    """Parse repeated ``--param key=value`` options (values become numbers).
+    """Parse repeated ``FLAG key=value`` options (values become numbers).
 
-    With ``allow_str`` a non-numeric value stays a string -- fault processes
-    take categorical parameters like ``policy=drop`` or ``scope=system``.
+    ``flag`` names the option in error messages.  With ``allow_str`` a
+    non-numeric value stays a string -- fault processes take categorical
+    parameters like ``policy=drop`` or ``scope=system``.
     """
     params: Dict[str, object] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--param expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"{flag} expects KEY=VALUE, got {pair!r}")
         try:
             value: object = int(raw)
         except ValueError:
@@ -561,7 +562,7 @@ def _parse_params(pairs: Sequence[str],
                 value = float(raw)
             except ValueError:
                 if not allow_str:
-                    raise SystemExit(f"--param {key}: {raw!r} is not a number")
+                    raise ValueError(f"{flag} {key}: {raw!r} is not a number")
                 value = raw
         params[key] = value
     return params
@@ -576,7 +577,7 @@ def _plan_from_run_args(args: argparse.Namespace) -> "ExperimentPlan":
     """
     from ..api import Simulation
 
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "--param")
     sim = (Simulation.scenario(args.scenario[0])
            .scale(args.scale).gamma(args.gamma)
            .trials(args.trials, base_seed=args.seed)
@@ -595,7 +596,7 @@ def _plan_from_run_args(args: argparse.Namespace) -> "ExperimentPlan":
         axes["dropper"] = args.dropper
 
     if params and "dropper" in axes:
-        raise SystemExit("--param only applies when --dropper is pinned "
+        raise ValueError("--param only applies when --dropper is pinned "
                          "to one value (sweeping droppers resets their "
                          "parameters)")
     if args.plugin and args.jobs > 1:
@@ -609,20 +610,23 @@ def _plan_from_run_args(args: argparse.Namespace) -> "ExperimentPlan":
         sim = sim.numerics(args.numerics)
     if args.uncertainty:
         sim = sim.uncertainty(args.uncertainty,
-                              **_parse_params(args.uncertainty_param))
+                              **_parse_params(args.uncertainty_param,
+                                              "--uncertainty-param"))
     elif args.uncertainty_param:
-        raise SystemExit("--uncertainty-param requires --uncertainty")
+        raise ValueError("--uncertainty-param requires --uncertainty")
     if args.faults:
         sim = sim.faults(args.faults,
-                         **_parse_params(args.fault_param, allow_str=True))
+                         **_parse_params(args.fault_param, "--fault-param",
+                                         allow_str=True))
     elif args.fault_param:
-        raise SystemExit("--fault-param requires --faults")
+        raise ValueError("--fault-param requires --faults")
     if args.topology:
         sim = sim.topology(args.topology,
                            **_parse_params(args.topology_param,
+                                           "--topology-param",
                                            allow_str=True))
     elif args.topology_param:
-        raise SystemExit("--topology-param requires --topology")
+        raise ValueError("--topology-param requires --topology")
     return sim.build_plan(**axes)
 
 
@@ -816,13 +820,16 @@ def _command_serve(args: argparse.Namespace) -> int:
             plan = plan.with_warmup(args.warmup)
         service = StreamingSimulation(plan.stream, on_window=on_window)
     else:
-        uncertainty_params = _parse_params(args.uncertainty_param)
+        uncertainty_params = _parse_params(args.uncertainty_param,
+                                           "--uncertainty-param")
         if uncertainty_params and not args.uncertainty:
             raise ValueError("--uncertainty-param requires --uncertainty")
-        fault_params = _parse_params(args.fault_param, allow_str=True)
+        fault_params = _parse_params(args.fault_param, "--fault-param",
+                                     allow_str=True)
         if fault_params and not args.faults:
             raise ValueError("--fault-param requires --faults")
-        topology_params = _parse_params(args.topology_param, allow_str=True)
+        topology_params = _parse_params(args.topology_param,
+                                        "--topology-param", allow_str=True)
         if topology_params and not args.topology:
             raise ValueError("--topology-param requires --topology")
         spec = StreamSpec(
@@ -833,8 +840,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             mapper_name=args.mapper,
             dropper_name=args.dropper,
-            dropper_params=_parse_params(args.param),
-            traffic_params=_parse_params(args.traffic_param),
+            dropper_params=_parse_params(args.param, "--param"),
+            traffic_params=_parse_params(args.traffic_param,
+                                         "--traffic-param"),
             uncertainty_name=args.uncertainty or "none",
             uncertainty_params=uncertainty_params,
             faults_name=args.faults or "none",

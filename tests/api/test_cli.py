@@ -103,10 +103,11 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--numerics", "fused"])
 
-    def test_param_with_dropper_sweep_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--dropper", "heuristic", "react",
-                  "--param", "beta=1.0"])
+    def test_param_with_dropper_sweep_rejected(self, capsys):
+        assert main(["run", "--dropper", "heuristic", "react",
+                     "--param", "beta=1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: --param only applies")
 
     def test_param_with_pinned_dropper_sweep_applies(self, capsys):
         exit_code = main(["run", "--scale", "0.002", "--trials", "1",
@@ -115,11 +116,20 @@ class TestRunCommand:
         assert exit_code == 0
         assert "best" in capsys.readouterr().out
 
-    def test_bad_param_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--param", "beta"])
-        with pytest.raises(SystemExit):
-            main(["run", "--param", "beta=fast"])
+    def test_bad_param_rejected(self, capsys):
+        assert main(["run", "--param", "beta"]) == 2
+        assert ("repro run: error: --param expects KEY=VALUE, got 'beta'"
+                in capsys.readouterr().err)
+        assert main(["run", "--param", "beta=fast"]) == 2
+        assert ("repro run: error: --param beta: 'fast' is not a number"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_bad_fault_param_names_its_flag(self, command, capsys):
+        assert main([command, "--faults", "crash-restart",
+                     "--fault-param", "mtbf"]) == 2
+        assert (f"repro {command}: error: --fault-param expects KEY=VALUE, "
+                "got 'mtbf'") in capsys.readouterr().err
 
     def test_unknown_names_print_clean_error(self, capsys):
         assert main(["run", "--mapper", "PAN"]) == 2

@@ -122,10 +122,11 @@ class TestCli:
         assert payload["config"]["fault_params"] == {"mtbf": 200,
                                                      "policy": "drop"}
 
-    def test_fault_param_requires_faults(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--scale", "0.002", "--trials", "1",
-                  "--fault-param", "mtbf=200"])
+    def test_fault_param_requires_faults(self, capsys):
+        assert main(["run", "--scale", "0.002", "--trials", "1",
+                     "--fault-param", "mtbf=200"]) == 2
+        assert ("repro run: error: --fault-param requires --faults"
+                in capsys.readouterr().err)
 
     def test_unknown_fault_name_prints_clean_error(self, capsys):
         assert main(["run", "--scale", "0.002", "--trials", "1",

@@ -124,10 +124,11 @@ class TestCli:
         assert payload["config"]["topology"] == "tiered-edge-cloud"
         assert payload["config"]["topology_params"] == {"task_bytes": 192}
 
-    def test_topology_param_requires_topology(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--scale", "0.002", "--trials", "1",
-                  "--topology-param", "task_bytes=192"])
+    def test_topology_param_requires_topology(self, capsys):
+        assert main(["run", "--scale", "0.002", "--trials", "1",
+                     "--topology-param", "task_bytes=192"]) == 2
+        assert ("repro run: error: --topology-param requires --topology"
+                in capsys.readouterr().err)
 
     def test_unknown_topology_name_prints_clean_error(self, capsys):
         assert main(["run", "--scale", "0.002", "--trials", "1",

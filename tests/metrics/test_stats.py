@@ -56,6 +56,21 @@ class TestMeanConfidenceInterval:
     def test_str(self):
         assert "±" in str(mean_confidence_interval([1.0, 2.0]))
 
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_bounds_bit_equal_to_scipy_stats(self, confidence):
+        # Committed plan spools and golden outputs store these bounds, so the
+        # arithmetic is pinned exactly to the scipy.stats formulation.
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(20200518)
+        for n in list(range(2, 61)) + [500]:
+            sample = rng.normal(60.0, 15.0, size=n)
+            ci = mean_confidence_interval(sample, confidence=confidence)
+            mean = float(sample.mean())
+            half = float(float(sps.sem(sample))
+                         * sps.t.ppf((1.0 + confidence) / 2.0, n - 1))
+            assert (ci.lower, ci.upper) == (mean - half, mean + half), n
+
 
 class TestBootstrap:
     def test_single_value(self):
