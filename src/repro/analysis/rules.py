@@ -431,8 +431,9 @@ class IdKeyedStateRule(Rule):
 
     An ``id()``-keyed container gives wrong answers when an object dies
     and another reuses its address, and its contents are meaningless after
-    snapshot/restore.  The interned-PMF memos in ``core/completion.py``
-    are sound (interning pins canonical instances alive) -- but every such
+    snapshot/restore.  The PMF memos in ``core/completion.py`` are sound
+    (each entry holds strong references to its key objects, so their ids
+    stay live, and every hit re-checks identity with ``is``) -- but every such
     use must say so in an inline ``repro: allow[id-keyed-state]``
     justification, so new id-keyed state cannot slip in unreviewed.
     """

@@ -183,8 +183,8 @@ class SweepResult:
     def perf(self) -> Optional[PerfStats]:
         """Summed hot-path counters across every run of the sweep.
 
-        Includes the intern-table and fold-kernel counters (``interned``,
-        ``intern_hits``, ``fold_memo_hits``, ``scratch_reuses``), so a sweep
+        Includes the fold-kernel and cache counters (``fold_memo_hits``,
+        ``tail_cache_hits``, ``drop_cache_hits``, ...), so a sweep
         executed on a :class:`~repro.experiments.runner.TrialPool` reports
         the cache behaviour of its worker processes in one place.
         """

@@ -12,22 +12,16 @@ equals the completion time of the previous task.
 Batched fold kernel
 -------------------
 :class:`ChainFolder` is the hot-loop variant of :func:`completion_pmf`: it
-folds whole Eq. 1 chains with
-
-* a **preallocated scratch buffer** for the mixture/prune stage, grown
-  geometrically and reused across folds instead of allocating one output
-  array per step (only the chain's *published* tail PMFs are materialised;
-  intermediates live in scratch), and
-* an **identity-keyed fold memo**: PMFs are hash-consed
-  (:mod:`repro.core.pmf`), so a ``(prev, exec, deadline)`` triple seen before
-  is answered with the previously interned result without touching NumPy.
-
-Both paths perform bit-for-bit the arithmetic of :func:`completion_pmf`
-(same operands, same order), so folded chains are exactly reproducible by
-the naive composed form -- the property pinned by the simulator's
-equivalence tests.  A folder can be installed process-wide with
-:func:`active_folder`; while installed, plain :func:`completion_pmf` calls
-(e.g. from dropping policies) are routed through it.
+folds whole Eq. 1 chains through an **identity-keyed fold memo**, so a
+``(prev, exec, deadline)`` triple seen before -- the same cached chain tail
+and the same PET entry -- is answered with the previously computed result
+without touching NumPy, and it caches the reversed execution-time operands
+of the convolution.  A memo miss performs bit-for-bit the arithmetic of
+:func:`completion_pmf` (same operands, same order), so folded chains are
+exactly reproducible by the naive composed form -- the property pinned by
+the simulator's equivalence tests.  A folder can be installed process-wide
+with :func:`active_folder`; while installed, plain :func:`completion_pmf`
+calls (e.g. from dropping policies) are routed through it.
 """
 
 from __future__ import annotations
@@ -39,10 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pmf import PMF, _convolve_full, _intern_get, interning_enabled
-
-#: Import-time snapshot of the hash-consing switch (``REPRO_NO_INTERN``).
-_INTERNING = interning_enabled()
+from .pmf import PMF, _convolve_full
 
 __all__ = [
     "QueueEntry",
@@ -98,34 +89,14 @@ class QueueEntry:
             raise ValueError("queue entry requires a non-empty execution PMF")
 
 
-class _Scratch:
-    """Grow-only float64 buffer reused for fold mixtures."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self, initial: int = 256):
-        self.buf = np.empty(int(initial), dtype=np.float64)
-
-    def zeros(self, n: int) -> Tuple[np.ndarray, bool]:
-        """Zero-filled view of length ``n``; True when no allocation happened."""
-        reused = self.buf.size >= n
-        if not reused:
-            self.buf = np.empty(max(n, 2 * self.buf.size), dtype=np.float64)
-        view = self.buf[:n]
-        view.fill(0.0)
-        return view, reused
-
-
 def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int,
           prune_eps: float, folder: Optional["ChainFolder"]) -> PMF:
     """One Eq. 1 fold; the single implementation behind both public paths.
 
-    With ``folder`` the mixture/prune stage runs in the folder's scratch
-    buffer and the result is interned straight off the scratch view (copying
-    out only on an intern miss); without it every step allocates its own
-    output array, exactly as the pre-batched kernel did.  The arithmetic --
-    operand trimming, convolution, mixture addition and pruning -- is
-    identical in both modes, so results are bit-for-bit the same.
+    ``folder`` only supplies the cached reversed execution operand; the
+    arithmetic -- operand trimming, convolution, mixture addition and
+    pruning -- is the same with or without it, so results are bit-for-bit
+    the same.
     """
     pp = prev_completion.probs
     po = prev_completion.origin
@@ -142,63 +113,56 @@ def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int,
     ep_rev = folder._reversed(exec_pmf) if folder is not None else None
     if k >= pp.size:
         # Everything starts on time: a plain convolution.
-        out = _convolve_full(pp, ep, ep_rev)
-        out[out < prune_eps] = 0.0
-        return PMF._trusted(po + eo, out)
-    # ``pp[:k]`` starts on time; its tail may hold interior zeros that a
-    # split would have trimmed, and the convolution operand must match that
-    # trimmed array exactly for bitwise reproducibility.  (``pp[0]`` is
-    # always nonzero -- PMFs are stored trimmed -- so the slice is never
-    # all-zero.)
-    on_time = pp[:k]
-    if on_time[k - 1] == 0.0:
-        nz = on_time.nonzero()[0]
-        on_time = on_time[:int(nz[-1]) + 1]
-    conv = _convolve_full(on_time, ep, ep_rev)
-    conv_origin = po + eo
-    drop_origin = po + k
-    lo = min(conv_origin, drop_origin)
-    hi = max(conv_origin + conv.size, po + pp.size)
-    # The scratch buffer only pays for itself when the intern probe on the
-    # result has a real chance of hitting (the hit skips the copy-out); with
-    # probing off -- disabled, or adaptively abandoned -- allocating an
-    # owned output array outright is strictly cheaper.
-    use_scratch = folder is not None and folder._probe_interns
-    if use_scratch:
-        out, reused = folder._scratch.zeros(hi - lo)
-        if reused:
-            folder.scratch_reuses += 1
+        conv = _convolve_full(pp, ep, ep_rev)
     else:
+        # ``pp[:k]`` starts on time; its tail may hold interior zeros that a
+        # split would have trimmed, and the convolution operand must match
+        # that trimmed array exactly for bitwise reproducibility.  (``pp[0]``
+        # is always nonzero -- PMFs are stored trimmed -- so the slice is
+        # never all-zero.)
+        on_time = pp[:k]
+        if on_time[k - 1] == 0.0:
+            nz = on_time.nonzero()[0]
+            on_time = on_time[:int(nz[-1]) + 1]
+        conv = _convolve_full(on_time, ep, ep_rev)
+    return _mix(conv, prev_completion, eo, k, prune_eps)
+
+
+def _mix(conv: np.ndarray, prev: PMF, exec_origin: int, k: int,
+         prune_eps: float) -> PMF:
+    """Mixture/prune stage of one Eq. 1 fold.
+
+    ``conv`` is the *owned* on-time convolution array (``prev[:k]`` with
+    the execution PMF); the reactive-drop branch ``prev[k:]`` is added at
+    its own origin, mass below ``prune_eps`` is zeroed, and the result is
+    returned as a trimmed PMF.
+    """
+    pp = prev.probs
+    po = prev.origin
+    conv_origin = po + exec_origin
+    if k >= pp.size:
+        out = conv
+        lo = conv_origin
+    else:
+        drop_origin = po + k
+        lo = min(conv_origin, drop_origin)
+        hi = max(conv_origin + conv.size, po + pp.size)
         out = np.zeros(hi - lo, dtype=np.float64)
-    out[conv_origin - lo:conv_origin - lo + conv.size] += conv
-    out[drop_origin - lo:drop_origin - lo + pp.size - k] += pp[k:]
+        out[conv_origin - lo:conv_origin - lo + conv.size] += conv
+        out[drop_origin - lo:drop_origin - lo + pp.size - k] += pp[k:]
     out[out < prune_eps] = 0.0
-    if not use_scratch:
-        return PMF._trusted(lo, out)
-    # Scratch-backed result: trim in place, probe the intern table with the
-    # scratch view, and only copy the array out on an intern miss (the
-    # published tail must own its storage; scratch is reused next fold).
-    if out[0] != 0.0 and out[-1] != 0.0:
-        view = out
-        origin = lo
-    else:
-        nz = out.nonzero()[0]
-        if nz.size == 0:
-            return PMF.empty()
-        t0 = int(nz[0])
-        view = out[t0:int(nz[-1]) + 1]
-        origin = lo + t0
-    return folder._publish(origin, view)
+    return PMF._trusted(lo, out)
 
 
 class ChainFolder:
-    """Batched Eq. 1 fold kernel with scratch reuse and an identity memo.
+    """Batched Eq. 1 fold kernel with an identity memo.
 
     One folder serves one simulation run (one ``prune_eps``).  The memo maps
-    ``(id(prev), id(exec), deadline)`` to the interned fold result; entries
-    keep strong references to their key PMFs so the ids stay valid, and the
-    validated identity check makes a stale-id collision impossible.  Because
-    PMFs are hash-consed, semantically repeated folds -- the dropping
+    ``(id(prev), id(exec), deadline)`` to the fold result; entries keep
+    strong references to their key PMFs so the ids stay valid, and the
+    ``is`` re-check on every hit makes a stale-id collision impossible.
+    The simulator's caches hand the same tail PMF objects back and PET
+    entries are shared objects, so repeated folds -- the dropping
     heuristic re-walking a queue, machines of the same type evaluating the
     same candidate task, an unchanged queue revisited at a later event --
     collapse into dictionary hits.
@@ -215,18 +179,12 @@ class ChainFolder:
     mapping selection use the fast paths.
     """
 
-    __slots__ = ("prune_eps", "memo_limit", "memo_hits", "scratch_reuses",
-                 "numerics",
-                 "_memo", "_scratch", "_rev", "_chance_memo", "_mean_memo",
-                 "_probe_interns", "_pub_probes", "_pub_hits",
+    __slots__ = ("prune_eps", "memo_limit", "memo_hits", "numerics",
+                 "_memo", "_rev", "_chance_memo", "_mean_memo",
                  "_memo_active", "_memo_probes",
                  "_cdf", "_rfft", "_append_chance_memo", "_fft_memo",
                  "_moments", "_prev_cums", "_append_mean_memo")
 
-    #: Publication probes before the adaptive intern gate is evaluated.
-    PROBE_WINDOW = 2048
-    #: Minimum publication hit rate for interning to keep paying its way.
-    PROBE_MIN_HIT_RATE = 0.05
     #: Fold probes before the adaptive memo gate is evaluated.
     MEMO_WINDOW = 4096
     #: Minimum fold-memo hit rate below which storing entries stops paying
@@ -235,7 +193,7 @@ class ChainFolder:
     MEMO_MIN_HIT_RATE = 0.10
 
     def __init__(self, prune_eps: float = 1e-12, memo_limit: int = 1 << 13,
-                 intern_publications: bool = True, numerics: str = "exact"):
+                 numerics: str = "exact"):
         if numerics not in NUMERICS_PROFILES:
             raise ValueError(f"unknown numerics profile {numerics!r}; "
                              f"expected one of {NUMERICS_PROFILES}")
@@ -243,9 +201,7 @@ class ChainFolder:
         self.memo_limit = int(memo_limit)
         self.numerics = numerics
         self.memo_hits = 0
-        self.scratch_reuses = 0
         self._memo: Dict[Tuple[int, int, int], Tuple[PMF, PMF, PMF]] = {}
-        self._scratch = _Scratch()
         #: id(exec_pmf) -> (exec_pmf, reversed probs); execution-time PMFs
         #: are the small, endlessly reused convolution operands (PET matrix
         #: entries), so their reversed copies are built once per run.
@@ -258,14 +214,11 @@ class ChainFolder:
         #: expected completion of the same (memoised, identity-stable)
         #: appended PMFs over and over across machines and rounds.
         self._mean_memo: Dict[int, Tuple[PMF, float]] = {}
-        self._probe_interns = bool(intern_publications) and _INTERNING
-        self._pub_probes = 0
-        self._pub_hits = 0
         self._memo_active = True
         self._memo_probes = 0
         #: id(exec_pmf) -> (exec_pmf, prefix-sum CDF); ``cdf[j]`` is the mass
         #: of ``exec_pmf`` strictly below ``origin + j`` (length m+1, with
-        #: ``cdf[0] == 0``).  Execution PMFs are interned PET entries, so one
+        #: ``cdf[0] == 0``).  Execution PMFs are shared PET entries, so one
         #: prefix sum per (task type, machine type) pair serves every
         #: closed-form chance query of the run.
         self._cdf: Dict[int, Tuple[PMF, np.ndarray]] = {}
@@ -293,32 +246,6 @@ class ChainFolder:
         self._append_mean_memo: Dict[Tuple[int, int, int],
                                      Tuple[PMF, PMF, float]] = {}
 
-    def _publish(self, origin: int, view: np.ndarray) -> PMF:
-        """Materialise a fold result off the scratch buffer.
-
-        While publication interning is on, the intern table is probed with
-        the scratch view first: a hit returns the canonical PMF without any
-        copy.  Interning is *adaptive* -- workloads whose fold results
-        rarely recur (distinct deadlines everywhere) would pay table and
-        weakref bookkeeping for nothing, so after :data:`PROBE_WINDOW`
-        publications with a hit rate below :data:`PROBE_MIN_HIT_RATE` the
-        folder stops probing and publishes plain transient PMFs.
-        """
-        if self._probe_interns:
-            data = view.tobytes()
-            hit = _intern_get(origin, data)
-            self._pub_probes += 1
-            if hit is not None:
-                self._pub_hits += 1
-                return hit
-            if (self._pub_probes >= self.PROBE_WINDOW
-                    and self._pub_hits < self._pub_probes * self.PROBE_MIN_HIT_RATE):
-                self._probe_interns = False
-            return PMF._from_trimmed(origin, view.copy(), data)
-        arr = view.copy()
-        arr.setflags(write=False)
-        return PMF._fresh(origin, arr)
-
     def _reversed(self, exec_pmf: PMF) -> np.ndarray:
         """Reversed probability array of ``exec_pmf``, cached by identity."""
         key = id(exec_pmf)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
@@ -331,14 +258,13 @@ class ChainFolder:
 
     # ------------------------------------------------------------------
     def fold(self, prev: PMF, exec_pmf: PMF, deadline: int) -> PMF:
-        """Memoised, scratch-backed equivalent of :func:`completion_pmf`.
+        """Memoised equivalent of :func:`completion_pmf`.
 
-        The memo is adaptive like publication interning: workloads whose
-        folds rarely repeat (no proactive dropper re-walking queues) would
-        pay an entry allocation per fold for nothing, so once the hit rate
-        over :data:`MEMO_WINDOW` probes falls below
-        :data:`MEMO_MIN_HIT_RATE` the folder stops storing and folds
-        straight through.
+        The memo is adaptive: workloads whose folds rarely repeat (no
+        proactive dropper re-walking queues) would pay an entry allocation
+        per fold for nothing, so once the hit rate over :data:`MEMO_WINDOW`
+        probes falls below :data:`MEMO_MIN_HIT_RATE` the folder stops
+        storing and folds straight through.
         """
         deadline = int(deadline)
         if not self._memo_active:
@@ -425,7 +351,7 @@ class ChainFolder:
 
         Length ``m + 1`` with ``cdf[0] == 0`` and ``cdf[m]`` the total mass;
         cached by identity like the reversed operands -- execution PMFs are
-        interned PET entries, so one prefix sum per (task type, machine
+        shared PET entries, so one prefix sum per (task type, machine
         type) pair serves every closed-form chance query of the run.
         """
         key = id(exec_pmf)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
@@ -576,30 +502,6 @@ class ChainFolder:
         self._rfft[key] = (exec_pmf, spec)
         return spec
 
-    def _mix(self, conv: np.ndarray, prev: PMF, exec_pmf: PMF, k: int) -> PMF:
-        """Mixture/prune stage shared by the fast fold paths.
-
-        ``conv`` is the *owned* on-time convolution array; mirroring the
-        exact kernel, the reactive-drop branch ``prev[k:]`` is added at its
-        own origin, mass below ``prune_eps`` is zeroed, and the result is
-        published as a trimmed transient PMF.
-        """
-        pp = prev.probs
-        po = prev.origin
-        conv_origin = po + exec_pmf.origin
-        if k >= pp.size:
-            out = conv
-            lo = conv_origin
-        else:
-            drop_origin = po + k
-            lo = min(conv_origin, drop_origin)
-            hi = max(conv_origin + conv.size, po + pp.size)
-            out = np.zeros(hi - lo, dtype=np.float64)
-            out[conv_origin - lo:conv_origin - lo + conv.size] += conv
-            out[drop_origin - lo:drop_origin - lo + pp.size - k] += pp[k:]
-        out[out < self.prune_eps] = 0.0
-        return PMF._trusted(lo, out)
-
     def fold_batch(self, prev: PMF, exec_pmfs: Sequence[PMF],
                    deadlines: Sequence[int]) -> List[PMF]:
         """Fold a stack of candidates onto one tail through one FFT plan.
@@ -668,7 +570,7 @@ class ChainFolder:
                     # scaled copy, computed exactly (bit-identical to the
                     # exact kernel's elementwise multiply).
                     conv = on_time * ep[0] if ep.size == 1 else ep * on_time[0]
-                    result = self._mix(conv, prev, ep_pmf, k)
+                    result = _mix(conv, prev, ep_pmf.origin, k, self.prune_eps)
                 else:
                     conv_len = on_time.size + ep.size - 1
                     if conv_len > plan_len:
@@ -704,7 +606,7 @@ class ChainFolder:
             time_rows *= scales[:, None]
             for r, (i, key, ep_pmf, k, on_time, conv_len) in enumerate(batch):
                 conv = time_rows[r, :conv_len].copy()
-                result = self._mix(conv, prev, ep_pmf, k)
+                result = _mix(conv, prev, ep_pmf.origin, k, self.prune_eps)
                 results[i] = result
                 if len(self._fft_memo) >= self.memo_limit:
                     self._evict_oldest(self._fft_memo)
@@ -722,9 +624,9 @@ def active_folder(folder: Optional[ChainFolder]):
 
     The simulator installs its per-run folder around the event loop so that
     fold calls made by code that only sees the public function -- dropping
-    policies in particular -- share the run's memo and scratch buffers.
-    Passing ``None`` explicitly shields the block from any outer folder
-    (used by the naive benchmarking path).
+    policies in particular -- share the run's fold memo.  Passing ``None``
+    explicitly shields the block from any outer folder (used by the naive
+    benchmarking path).
     """
     global _ACTIVE_FOLDER
     outer = _ACTIVE_FOLDER
@@ -765,8 +667,8 @@ def completion_pmf(prev_completion: PMF, exec_pmf: PMF, deadline: int,
     pipeline is fused into a single output buffer instead of chaining the
     four equivalent :class:`PMF` operations.  When a :class:`ChainFolder`
     with the same ``prune_eps`` is installed via :func:`active_folder`, the
-    call is served through its memo and scratch buffers; either way the
-    result is bit-identical to the composed form.
+    call is served through its fold memo; either way the result is
+    bit-identical to the composed form.
     """
     folder = _ACTIVE_FOLDER
     if folder is not None and folder.prune_eps == prune_eps:
@@ -796,7 +698,7 @@ def batched_append_scores(prev: PMF, exec_pmfs: Sequence[PMF],
     :func:`completion_pmf` followed by :meth:`PMF.mean` /
     :meth:`PMF.mass_before`, in the same order, so every returned score is
     bit-identical to what the scalar path computes for the same pair.  With
-    ``folder`` the folds share the run's memo and scratch buffers.
+    ``folder`` the folds share the run's fold memo.
 
     Returns ``(pmfs, means, chances)``; ``means`` / ``chances`` are ``None``
     unless requested.

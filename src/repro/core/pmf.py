@@ -24,35 +24,25 @@ The representation is dense: ``probs[k]`` is the probability of the value
 correlate kernel (``_convolve_full``, bit-identical to ``np.convolve`` minus
 the Python wrapper), which is the hot path of the whole simulator.
 
-Hash-consing
-------------
-PMFs are *interned* (hash-consed): a process-wide weak-valued table keyed on
-``(origin, probs.tobytes())`` canonicalises every instance that crosses a
-*publication* boundary -- the public constructors, unpickling, and the
-chain tails published by the batched Eq. 1 fold kernel -- so two published
-PMFs carrying bitwise identical mass are the *same object*.  The payoff is
-upstream: the simulator's incremental caches gate reuse on
-:meth:`PMF.identical`, which degenerates to a pointer comparison for
-interned instances, and fold results can be memoised under ``id``-stable
-keys.  Transient intermediates (split branches, shifted copies, score
-evaluations) deliberately stay out of the table: registering their churn
-costs far more than it saves, both directly and in garbage-collector sweep
-time.  Interning never changes a value -- the canonical representative is
-bitwise identical by construction -- so it is semantically invisible.  Set
-``REPRO_NO_INTERN=1`` in the environment (before import) to disable it when
-debugging; the empty PMF remains a unique singleton either way.
+Identity and equality
+---------------------
+Instances are immutable, so the simulator's incremental caches can reuse a
+PMF by reference.  :meth:`PMF.identical` is the exact gate those caches use:
+a pointer comparison when the same instance comes back (the common case --
+cached chain tails are handed out again as-is), and a bitwise array
+comparison otherwise.  Identity-keyed memos (the fold kernel in
+:mod:`repro.core.completion`) hold strong references to their key PMFs and
+re-check identity on every hit, so an ``id`` is never reused while its entry
+lives.  The zero-mass PMF is a unique singleton, :data:`EMPTY_PMF`.
 """
 
 from __future__ import annotations
 
-import os
-import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["PMF", "EMPTY_PMF", "interning_enabled", "intern_stats",
-           "intern_table_size"]
+__all__ = ["PMF", "EMPTY_PMF"]
 
 try:  # pragma: no cover - import resolution depends on the numpy major
     from numpy._core.multiarray import correlate as _correlate  # numpy >= 2
@@ -93,61 +83,9 @@ _EMPTY_PROBS.setflags(write=False)
 #: Tolerance used when checking that a PMF is (sub-)normalised.
 MASS_TOLERANCE = 1e-6
 
-#: ``REPRO_NO_INTERN=1`` (or ``true``/``yes``/``on``) disables hash-consing.
-_INTERNING = os.environ.get("REPRO_NO_INTERN", "").strip().lower() not in {
-    "1", "true", "yes", "on"}
-
-#: Process-wide intern table.  Weak values: a canonical PMF lives exactly as
-#: long as something outside the table references it.
-_INTERN_TABLE: "weakref.WeakValueDictionary[Tuple[int, bytes], PMF]" = \
-    weakref.WeakValueDictionary()
-
-#: Cumulative intern-table counters (see :func:`intern_stats`).
-_INTERN_STATS: Dict[str, int] = {"interned": 0, "intern_hits": 0}
-
 #: The unique zero-mass PMF; created lazily by the first empty construction
 #: and exposed as :data:`EMPTY_PMF` at the bottom of the module.
 _EMPTY: Optional["PMF"] = None
-
-
-def interning_enabled() -> bool:
-    """True unless interning was disabled via ``REPRO_NO_INTERN``."""
-    return _INTERNING
-
-
-def intern_stats() -> Dict[str, int]:
-    """Snapshot of the cumulative intern-table counters.
-
-    ``interned`` counts distinct PMFs registered in the table and
-    ``intern_hits`` counts constructions answered by an existing canonical
-    instance.  Both are process-wide and monotonically increasing; consumers
-    (e.g. :class:`~repro.sim.perf.PerfStats`) report deltas between
-    snapshots.
-    """
-    return dict(_INTERN_STATS)
-
-
-def intern_table_size() -> int:
-    """Number of canonical PMFs currently alive in the intern table."""
-    return len(_INTERN_TABLE)
-
-
-def _intern_get(origin: int, data: bytes) -> Optional["PMF"]:
-    """Canonical PMF for ``(origin, data)`` if one is alive, else ``None``.
-
-    Kernel-internal: lets the batched fold kernel probe the table with a
-    scratch buffer *before* paying for a defensive copy (see
-    :mod:`repro.core.completion`).  Returns ``None`` when interning is
-    disabled so callers fall back to plain construction.
-    """
-    if not _INTERNING:
-        return None
-    if not data:
-        return _EMPTY  # may be None before the first empty construction
-    hit = _INTERN_TABLE.get((origin, data))
-    if hit is not None:
-        _INTERN_STATS["intern_hits"] += 1
-    return hit
 
 
 class PMF:
@@ -164,17 +102,13 @@ class PMF:
 
     Notes
     -----
-    Instances are immutable.  PMFs built through the public constructors
-    (``PMF(...)``, :meth:`delta`, :meth:`from_impulses`, ...), through
-    unpickling, and the chain tails published by the batched fold kernel
-    are hash-consed: bitwise-equal values resolve to one canonical object.
-    Structural intermediates (:meth:`split_at` branches, :meth:`shift`,
-    in-flight fold results) stay transient to keep the hot loop free of
-    table bookkeeping; they still share the unique :data:`EMPTY_PMF`
-    singleton, which behaves as the additive identity of :meth:`add`.
+    Instances are immutable, so operations may share storage and return
+    an operand unchanged.  Every zero-mass result is the unique
+    :data:`EMPTY_PMF` singleton, which behaves as the additive identity of
+    :meth:`add`.
     """
 
-    __slots__ = ("_origin", "_probs", "__weakref__")
+    __slots__ = ("_origin", "_probs")
 
     def __new__(cls, origin: int = 0, probs: Iterable[float] = ()):
         if isinstance(probs, np.ndarray) or isinstance(probs, (list, tuple)):
@@ -202,46 +136,31 @@ class PMF:
         return cls._build(origin + lo, trimmed)
 
     def __init__(self, origin: int = 0, probs: Iterable[float] = ()):
-        # Construction happens entirely in __new__ (which may return an
-        # existing interned instance); nothing to initialise here.
+        # Construction happens entirely in __new__ (which may return the
+        # empty singleton); nothing to initialise here.
         pass
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def _build(cls, origin: int, arr: np.ndarray,
-               data: Optional[bytes] = None) -> "PMF":
-        """Intern-aware constructor for trimmed, read-only, canonical arrays.
+    def _build(cls, origin: int, arr: np.ndarray) -> "PMF":
+        """Constructor for trimmed, read-only, canonical arrays.
 
         ``arr`` must already be trimmed (non-zero first and last entries) and
-        non-writeable; ``data`` may carry its precomputed ``tobytes()`` so a
-        caller that already probed the table does not serialise twice.
-        Returns the canonical instance for the value -- either an existing
-        interned PMF or a freshly registered one.  All construction paths
-        funnel through here, so the zero-mass PMF is a process-wide
-        singleton even with interning disabled.
+        non-writeable.  All construction paths funnel zero-mass results
+        through here, so the empty PMF is a process-wide singleton.
         """
         global _EMPTY
         if arr.size == 0:
             if _EMPTY is None:
                 _EMPTY = cls._fresh(0, _EMPTY_PROBS)
             return _EMPTY
-        if not _INTERNING:
-            return cls._fresh(origin, arr)
-        key = (origin, arr.tobytes() if data is None else data)
-        hit = _INTERN_TABLE.get(key)
-        if hit is not None:
-            _INTERN_STATS["intern_hits"] += 1
-            return hit
-        self = cls._fresh(origin, arr)
-        _INTERN_TABLE[key] = self
-        _INTERN_STATS["interned"] += 1
-        return self
+        return cls._fresh(origin, arr)
 
     @classmethod
     def _fresh(cls, origin: int, arr: np.ndarray) -> "PMF":
-        """Allocate an instance without interning (table misses only)."""
+        """Allocate an instance around ``arr`` (no checks at all)."""
         self = object.__new__(cls)
         self._origin = origin
         self._probs = arr
@@ -257,19 +176,6 @@ class PMF:
         constructor is performed; validation and the defensive copy are
         skipped.  The array may be a view into another PMF's storage --
         instances are immutable, so sharing is safe.
-
-        Results are *not* registered in the intern table: this is the
-        construction path of transient intermediates (split branches, score
-        evaluations, fold chains in flight), and registering the huge churn
-        of distinct throwaway values measurably slows the simulator down --
-        both directly and through the garbage collector, which has to sweep
-        every registered weakref.  Interning happens at the *publication*
-        boundaries instead: the public constructors, unpickling, and the
-        chain tails published by the batched fold kernel
-        (:class:`repro.core.completion.ChainFolder`).  The zero-mass
-        singleton is still returned here, and a transient that is bitwise
-        equal to a canonical PMF still compares equal through the
-        :meth:`identical` fallback.
         """
         if arr.size and arr[0] != 0.0 and arr[-1] != 0.0:
             # Already trimmed (the overwhelmingly common case): skip the
@@ -287,22 +193,18 @@ class PMF:
         return cls._fresh(int(origin) + lo, arr)
 
     @classmethod
-    def _from_trimmed(cls, origin: int, arr: np.ndarray,
-                      data: Optional[bytes] = None) -> "PMF":
+    def _from_trimmed(cls, origin: int, arr: np.ndarray) -> "PMF":
         """Trusted constructor for arrays that are *already* trimmed.
 
         The fastest construction path: no validation, no trim scan, no copy.
         ``arr`` must be a one-dimensional float64 array whose first and last
         entries are non-zero (or an empty array) and which the caller
         guarantees will never be mutated -- kernel-internal code that just
-        produced a canonical array hands it over here (optionally with its
-        precomputed ``tobytes()``).
+        produced a canonical array hands it over here.
         """
-        if arr.size == 0:
-            return cls._build(0, _EMPTY_PROBS)
         if arr.flags.writeable:
             arr.setflags(write=False)
-        return cls._build(int(origin), arr, data)
+        return cls._build(int(origin), arr)
 
     @classmethod
     def delta(cls, t: int) -> "PMF":
@@ -505,8 +407,7 @@ class PMF:
         """Translate the distribution by ``dt`` time units."""
         if self.is_empty or dt == 0:
             return self
-        # Transient (non-interned) like every structural intermediate; the
-        # storage is already trimmed and read-only, so it is shared as-is.
+        # The storage is already trimmed and read-only, so it is shared as-is.
         return PMF._fresh(self._origin + int(dt), self._probs)
 
     def scaled(self, factor: float) -> "PMF":
@@ -614,9 +515,9 @@ class PMF:
         Unlike :meth:`approx_equal` this is an exact comparison (no
         tolerance); it is the gate used by the simulator's incremental
         completion-PMF caches, where reuse is only allowed when it provably
-        cannot change any downstream result.  Interned PMFs resolve it with
-        the ``self is other`` pointer check; the array comparison only runs
-        for instances built with interning disabled.
+        cannot change any downstream result.  A cache handing back the same
+        instance resolves it with the ``self is other`` pointer check; the
+        array comparison only runs for distinct instances.
         """
         if self is other:
             return True
@@ -644,11 +545,11 @@ class PMF:
         return hash((self._origin, self._probs.tobytes()))
 
     def __reduce__(self):
-        """Pickle as ``(origin, raw bytes)`` and re-intern on unpickling.
+        """Pickle as ``(origin, raw bytes)``; unpickling rebuilds the value.
 
-        Unpickled PMFs resolve to the canonical instance of the receiving
-        process, so identity-keyed caches (fold memo, append cache) work
-        across the worker-process boundary of ``run_trials``.
+        Pickle's own memo keeps shared references shared, so a scenario
+        shipped to a worker process still holds one object per PET entry
+        and identity-keyed caches (fold memo, append cache) hit there too.
         """
         return (_restore_pmf, (self._origin, self._probs.tobytes()))
 
@@ -660,9 +561,8 @@ class PMF:
 
 
 def _restore_pmf(origin: int, data: bytes) -> PMF:
-    """Unpickling factory: rebuild from raw bytes through the intern table."""
-    arr = np.frombuffer(data, dtype=np.float64)
-    return PMF._from_trimmed(origin, arr, data)
+    """Unpickling factory: rebuild a PMF from its raw bytes."""
+    return PMF._from_trimmed(origin, np.frombuffer(data, dtype=np.float64))
 
 
 #: Shared immutable empty PMF instance (the unique zero-mass PMF).

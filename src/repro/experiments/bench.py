@@ -341,7 +341,7 @@ def run_sweep_benchmark(scale: float = 0.02, trials: int = 2,
     :class:`~repro.experiments.runner.TrialPool` (workers persist across
     cells, scenarios shipped once through the initializer).  Both runs must
     produce identical per-trial metrics -- the trials cross process
-    boundaries, so this also exercises PMF re-interning on unpickle.
+    boundaries, so this also exercises PMF pickling.
     """
     from ..api.builder import Simulation
 

@@ -11,9 +11,10 @@ processes warm across the grid cells of :meth:`Simulation.sweep`, shards
 the (deduplicated) scenarios -- platform, PET tables, task streams --
 across its workers so each shard's initializer ships only the scenarios
 its assigned trials need (instead of the whole table to every worker),
-and streams per-cell results back as they complete.  PMFs re-intern
-themselves on unpickling (``PMF.__reduce__``), so the identity keys of the
-simulator's caches survive the process boundary.
+and streams per-cell results back as they complete.  Pickling keeps shared
+PMF references shared (``PMF.__reduce__`` rebuilds values; pickle's memo
+preserves sharing), so the identity keys of the simulator's caches work
+the same on the far side of the process boundary.
 """
 
 from __future__ import annotations
@@ -277,8 +278,7 @@ def _pool_initializer(scenarios: Dict[Tuple, Scenario]) -> None:
     """Install the pre-built scenario table in a worker process.
 
     Runs once per worker; the scenarios (with their PET matrices) cross the
-    process boundary exactly once here instead of once per trial.  PMF
-    unpickling re-interns, so every worker ends up with canonical PMFs.
+    process boundary exactly once here instead of once per trial.
     """
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True

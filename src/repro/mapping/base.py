@@ -280,8 +280,9 @@ class MappingContext:
         """Execution-time PMF of ``task`` on ``machine``.
 
         A raw PET entry, or the transfer-composed effective entry when the
-        run has a non-trivial topology; both are interned, identity-stable
-        instances, so every downstream memo keys on them unchanged.
+        run has a non-trivial topology; both are built once per run and
+        handed out as the same objects, so every downstream memo keys on
+        them unchanged.
         """
         if self._exec_view is not None:
             return self._exec_view.pmf(task.type_id, machine.machine_id)

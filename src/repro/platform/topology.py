@@ -19,9 +19,9 @@ Because the transfer time of a fixed payload over a fixed link is
 deterministic, the transfer PMF is a delta impulse and the convolution
 reduces *exactly* to an origin shift of the execution PMF.
 :class:`EffectiveExecution` precomputes that composition once per
-(task type, machine) through the interning :class:`~repro.core.pmf.PMF`
-constructor, so effective PMFs are hash-consed and identity-stable exactly
-like raw PET entries -- the :class:`~repro.core.completion.ChainFolder`
+(task type, machine), so effective PMFs are built once per run and
+identity-stable exactly like raw PET entries -- the
+:class:`~repro.core.completion.ChainFolder`
 memos, tail caches and drop-decision memos key on them unchanged, and both
 the exact and the fast (FFT) numerics profiles consume them transparently.
 Zero transfer time stores the *identical* PET entry object, which is what
@@ -169,7 +169,7 @@ class BoundTopology:
         return self.links[machine_id].transfer_time(self.payloads[type_id])
 
     def transfer_pmf(self, machine_id: int, type_id: int) -> PMF:
-        """The transfer-delay PMF (a delta impulse; interned)."""
+        """The transfer-delay PMF (a delta impulse)."""
         return PMF.delta(self.transfer_time(machine_id, type_id))
 
     @property
@@ -208,10 +208,9 @@ class EffectiveExecution:
 
     The composition ``transfer (*) execution`` is exact: the transfer PMF is
     a delta at the uncontended transfer time ``t``, so the convolution is an
-    origin shift.  Shifted PMFs are built through the public interning
-    constructor, making them canonical, identity-stable instances that the
-    fold/tail/drop memos key on exactly like raw PET entries; a zero ``t``
-    stores the *identical* PET entry object.
+    origin shift.  Shifted PMFs are built once here and handed out as the
+    same objects, so the fold/tail/drop memos key on them exactly like raw
+    PET entries; a zero ``t`` stores the *identical* PET entry object.
     """
 
     def __init__(self, bound: BoundTopology, machines: Sequence["Machine"],

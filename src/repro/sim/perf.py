@@ -39,16 +39,15 @@ class PerfStats:
         Reuses versus fresh evaluations of proactive drop decisions.
     batch_expired:
         Tasks discarded through the deadline-indexed batch-queue expiry.
-    interned / intern_hits:
-        PMF intern-table activity during the run: distinct PMFs registered
-        versus constructions answered by an existing canonical instance
-        (hash-consing, see :mod:`repro.core.pmf`).
     fold_memo_hits:
         Eq. 1 folds answered by the :class:`~repro.core.completion.ChainFolder`
         identity memo without touching NumPy.
-    scratch_reuses:
-        Fold mixtures served from the folder's preallocated scratch buffer
-        (no per-step output allocation).
+    interned / intern_hits / scratch_reuses:
+        Retired: PMFs are no longer hash-consed and the fold kernel has no
+        scratch buffer, so these always read 0 (as does the derived
+        ``intern_hit_rate``).  They stay so that payloads written by older
+        versions, which carry the keys, still load under the strict
+        :meth:`from_dict`, and so that readers of the keys keep working.
     plane_evals / plane_rounds:
         Work done by the two-phase score-plane backends
         (:mod:`repro.mapping.kernel`): per-pair score evaluations issued
@@ -95,7 +94,7 @@ class PerfStats:
 
     @property
     def intern_hit_rate(self) -> float:
-        """Fraction of PMF constructions answered by the intern table."""
+        """Retired intern-table hit rate; always 0.0 for new runs."""
         total = self.interned + self.intern_hits
         if total == 0:
             return 0.0

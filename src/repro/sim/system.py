@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import pmf as pmf_module
 from ..core.completion import (ChainFolder, QueueEntry, active_folder,
                                completion_pmf)
 from ..core.dropping import (DropDecision, DroppingPolicy, MachineQueueView,
@@ -341,17 +340,14 @@ class HCSystem:
         #: when the task leaves the batch queue, bounding the cache by the
         #: mapper window.
         self._append_cache: Dict[Tuple[int, int], Tuple[PMF, PMF]] = {}
-        #: Batched Eq. 1 fold kernel of this run (scratch buffers + identity
-        #: memo over hash-consed PMFs).  Installed process-wide around the
+        #: Batched Eq. 1 fold kernel of this run (identity-keyed fold memo
+        #: over the cached tail PMFs).  Installed process-wide around the
         #: event loop so dropping policies share it; ``None`` on the naive
         #: path, which also *shields* the run from any outer folder.
         self._folder: Optional[ChainFolder] = (
             ChainFolder(self.config.prune_eps,
                         numerics=self.config.numerics)
             if self.config.incremental else None)
-        #: Intern-table snapshot taken at construction; ``result()`` reports
-        #: the delta, i.e. the interning activity attributable to this run.
-        self._intern_stats0 = pmf_module.intern_stats()
 
     # ------------------------------------------------------------------
     # Setup
@@ -939,13 +935,8 @@ class HCSystem:
         """Snapshot of the current simulation outcome."""
         self.perf.mapping_events = self.num_mapping_events
         self.perf.events_dispatched = self.engine.dispatched_events
-        stats = pmf_module.intern_stats()
-        self.perf.interned = stats["interned"] - self._intern_stats0["interned"]
-        self.perf.intern_hits = (stats["intern_hits"]
-                                 - self._intern_stats0["intern_hits"])
         if self._folder is not None:
             self.perf.fold_memo_hits = self._folder.memo_hits
-            self.perf.scratch_reuses = self._folder.scratch_reuses
         return SimulationResult(
             tasks=self.tasks,
             machines=self.machines,

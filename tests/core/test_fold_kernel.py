@@ -179,13 +179,13 @@ class TestActiveFolder:
 
 
 class TestAdaptiveGates:
-    """Self-disable behaviour of the fold memo and publication interning.
+    """Self-disable behaviour of the fold memo.
 
-    The gates are heuristics (fixed hit-rate thresholds over fixed probe
-    windows); these tests pin that an oscillating workload whose repeats
-    are too rare trips them, that tripping them never changes a fold
-    result, and that the counters surfaced through ``PerfStats`` reflect
-    the frozen state.
+    The gate is a heuristic (a fixed hit-rate threshold over a fixed probe
+    window); these tests pin that an oscillating workload whose repeats
+    are too rare trips it, that tripping it never changes a fold result,
+    and that the counter surfaced through ``PerfStats`` reflects the
+    frozen state.
     """
 
     def _oscillating_folds(self, folder, rng, rounds, repeat_every):
@@ -202,8 +202,8 @@ class TestAdaptiveGates:
                 exec_pmf = _random_pmf(rng, origin_lo=1, origin_hi=6,
                                        size_hi=6)
                 # Deadline strictly inside the predecessor support, so the
-                # fold runs the mixed (scratch/publish) branch and the
-                # clamped memo key stays distinct per deadline.
+                # fold runs the mixture branch and the clamped memo key
+                # stays distinct per deadline.
                 deadline = prev.origin + 1 + int(
                     rng.integers(1, prev.probs.size - 1))
                 hot = (prev, exec_pmf, deadline)
@@ -213,7 +213,6 @@ class TestAdaptiveGates:
 
     def test_memo_gate_self_disables_without_corrupting_results(self, monkeypatch):
         monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 256)
-        monkeypatch.setattr(ChainFolder, "PROBE_WINDOW", 1 << 30)
         rng = np.random.default_rng(5)
         folder = ChainFolder()
         # ~3% repeats: far below the 10% break-even, so after the probe
@@ -244,43 +243,21 @@ class TestAdaptiveGates:
         assert folder._memo_active is True
         assert folder.memo_hits > 0
 
-    def test_publication_interning_self_disables(self, monkeypatch):
-        monkeypatch.setattr(ChainFolder, "PROBE_WINDOW", 128)
-        monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 1 << 30)
-        rng = np.random.default_rng(7)
-        folder = ChainFolder()
-        # All-fresh results: the publication probe hit rate is ~0, so the
-        # folder must stop interning (and stop using scratch buffers --
-        # copying out of scratch only pays when the probe can hit).
-        seen = self._oscillating_folds(folder, rng, rounds=300,
-                                       repeat_every=0)
-        assert folder._probe_interns is False
-        scratch_frozen = folder.scratch_reuses
-        more = self._oscillating_folds(folder, rng, rounds=50,
-                                       repeat_every=0)
-        assert folder.scratch_reuses == scratch_frozen
-        for (prev, exec_pmf, deadline), result in (seen + more)[::11]:
-            assert result.identical(completion_pmf(prev, exec_pmf, deadline))
-
     def test_perf_stats_reflect_frozen_counters(self, monkeypatch):
         from repro.sim.perf import PerfStats
 
         monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 256)
-        monkeypatch.setattr(ChainFolder, "PROBE_WINDOW", 128)
         rng = np.random.default_rng(8)
         folder = ChainFolder()
         self._oscillating_folds(folder, rng, rounds=600, repeat_every=32)
-        assert folder._memo_active is False and folder._probe_interns is False
-        # The simulator copies the folder counters onto PerfStats at
-        # result() time; once both gates tripped the copied values must
-        # stop moving even though folds continue.
-        before = PerfStats(fold_memo_hits=folder.memo_hits,
-                           scratch_reuses=folder.scratch_reuses)
+        assert folder._memo_active is False
+        # The simulator copies the folder counter onto PerfStats at
+        # result() time; once the gate tripped the copied value must stop
+        # moving even though folds continue.
+        before = PerfStats(fold_memo_hits=folder.memo_hits)
         self._oscillating_folds(folder, rng, rounds=100, repeat_every=4)
-        after = PerfStats(fold_memo_hits=folder.memo_hits,
-                          scratch_reuses=folder.scratch_reuses)
+        after = PerfStats(fold_memo_hits=folder.memo_hits)
         assert after.fold_memo_hits == before.fold_memo_hits
-        assert after.scratch_reuses == before.scratch_reuses
 
 
 def _sup_norm(a: PMF, b: PMF) -> float:

@@ -1,70 +1,46 @@
-"""Hash-consing (interning) semantics of the PMF type.
+"""Value and singleton semantics of the PMF type.
 
-Interning must never change a value -- only unify bitwise-identical
-*published* PMFs into one canonical object.  These tests pin the
-publication boundaries (public constructors, unpickling), the uniqueness of
-the zero-mass singleton, the edge cases called out for the incremental
-caches (sub-probability recombination, conditioning at/after the support
-end) and the ``REPRO_NO_INTERN`` escape hatch.
+PMFs are plain immutable values: equal inputs build equal (not shared)
+instances, and :meth:`PMF.identical` compares them bitwise.  These tests
+pin constructor canonicalisation, the uniqueness of the zero-mass
+singleton, the edge cases called out for the incremental caches
+(sub-probability recombination, conditioning at/after the support end) and
+pickling.
 """
 
-import os
 import pickle
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from repro.core.pmf import (EMPTY_PMF, PMF, intern_stats, intern_table_size,
-                            interning_enabled)
+from repro.core.pmf import EMPTY_PMF, PMF
 
 
 class TestConstructorInterning:
-    def test_public_constructor_interns(self):
+    """Public constructors canonicalise and validate; equal inputs build
+    bitwise-identical (not shared) values."""
+
+    def test_equal_inputs_build_identical_values(self):
         a = PMF(5, [0.25, 0.5, 0.25])
         b = PMF(5, [0.25, 0.5, 0.25])
-        assert a is b
+        assert a.identical(b)
+        assert not a.identical(PMF(6, [0.25, 0.5, 0.25]))
 
-    def test_trim_canonicalises_before_interning(self):
+    def test_trim_canonicalises_origin_and_support(self):
         a = PMF(5, [0.25, 0.5, 0.25])
         b = PMF(4, [0.0, 0.25, 0.5, 0.25, 0.0])
-        assert a is b
+        assert b.origin == 5
+        assert a.identical(b)
 
-    def test_different_origin_not_unified(self):
-        assert PMF(5, [0.5, 0.5]) is not PMF(6, [0.5, 0.5])
-
-    def test_delta_interned(self):
-        assert PMF.delta(17) is PMF.delta(17)
-        assert PMF.delta(17) is not PMF.delta(18)
-
-    def test_from_impulses_interned(self):
+    def test_from_impulses_matches_dense(self):
         a = PMF.from_impulses([3, 5], [0.5, 0.5])
-        b = PMF(3, [0.5, 0.0, 0.5])
-        assert a is b
-
-    def test_stats_count_hits(self):
-        before = intern_stats()
-        probs = np.full(7, 1.0 / 7)
-        first = PMF(123456, probs)
-        mid = intern_stats()
-        assert mid["interned"] == before["interned"] + 1
-        second = PMF(123456, probs)
-        after = intern_stats()
-        assert second is first
-        assert after["intern_hits"] == mid["intern_hits"] + 1
-
-    def test_interning_enabled_by_default(self):
-        assert interning_enabled()
-        held = PMF(31, [0.5, 0.5])  # weak table: hold a live reference
-        assert intern_table_size() > 0
-        assert held is PMF(31, [0.5, 0.5])
+        assert a.identical(PMF(3, [0.5, 0.0, 0.5]))
 
     def test_generator_input_streams_without_list_roundtrip(self):
         g = PMF(0, (x for x in [0.0, 0.25, 0.25, 0.0]))
         assert g.origin == 1
         assert g.probs.tolist() == [0.25, 0.25]
-        assert g is PMF(1, [0.25, 0.25])
+        assert g.identical(PMF(1, [0.25, 0.25]))
 
     def test_nested_list_still_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -137,44 +113,16 @@ class TestConditioningEdges:
 
 
 class TestPickling:
-    def test_roundtrip_reinterns_to_same_object(self):
-        a = PMF(7, [0.5, 0.25, 0.25])
-        assert pickle.loads(pickle.dumps(a)) is a
-
-    def test_transient_unpickles_to_one_canonical_instance(self):
-        a = PMF(7, [0.5, 0.25, 0.25])
-        transient = a.shift(3)  # structural intermediates are not interned
-        blob = pickle.dumps(transient)
-        first = pickle.loads(blob)
-        second = pickle.loads(blob)
-        assert first is second
-        assert first.identical(transient)
-
     def test_values_survive_roundtrip(self):
         a = PMF(3, [0.125, 0.25, 0.375, 0.25]).scaled(0.5)
         back = pickle.loads(pickle.dumps(a))
         assert back.identical(a)
+        assert not back.probs.flags.writeable
 
-
-def test_repro_no_intern_escape_hatch():
-    """``REPRO_NO_INTERN=1`` disables the table but keeps the semantics."""
-    code = (
-        "from repro.core.pmf import PMF, EMPTY_PMF, interning_enabled\n"
-        "assert not interning_enabled()\n"
-        "a = PMF(5, [0.5, 0.5]); b = PMF(5, [0.5, 0.5])\n"
-        "assert a is not b\n"
-        "assert a.identical(b)\n"
-        "assert PMF.empty() is EMPTY_PMF\n"
-        "import pickle\n"
-        "assert pickle.loads(pickle.dumps(a)).identical(a)\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, REPRO_NO_INTERN="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (env.get("PYTHONPATH"),
-                    os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-        if p)
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert "ok" in result.stdout
+    def test_shared_references_stay_shared(self):
+        """Pickle's memo keeps one object per shared PMF, which is what lets
+        identity-keyed caches hit on a scenario shipped to a worker."""
+        a = PMF(7, [0.5, 0.25, 0.25])
+        first, second = pickle.loads(pickle.dumps([a, a]))
+        assert first is second
+        assert first.identical(a)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Simulation
 from repro.core.dropping import (DropDecision, DroppingPolicy,
                                  NoProactiveDropping,
                                  ProactiveHeuristicDropping, ThresholdDropping)
@@ -10,6 +11,7 @@ from repro.core.pet import PETMatrix
 from repro.core.pmf import PMF
 from repro.mapping import FCFS, MinMin, PAM
 from repro.sim.machine import Machine, MachineType
+from repro.sim.perf import PerfStats
 from repro.sim.system import HCSystem, SimulationResult, SystemConfig
 from repro.sim.task import Task, TaskStatus, TaskType
 from repro.sim.trace import InMemoryTrace
@@ -368,6 +370,44 @@ class TestPerfStats:
         assert result.perf.tail_cache_hits == 0
         assert result.perf.tail_cache_extends == 0
         assert result.perf.pmf_folds > 0
+
+    #: ``PerfStats.to_dict()`` of a PAM+heuristic run written while PMFs
+    #: were still hash-consed; spools and snapshots carry such payloads.
+    HASH_CONSED_PAYLOAD = {
+        "events_dispatched": 120, "mapping_events": 120, "pmf_folds": 138,
+        "tail_cache_hits": 46, "tail_cache_extends": 0,
+        "tail_cache_rebuilds": 126, "drop_cache_hits": 135,
+        "drop_evaluations": 243, "batch_expired": 0, "interned": 288,
+        "intern_hits": 53, "fold_memo_hits": 510, "scratch_reuses": 227,
+        "plane_evals": 540, "plane_rounds": 60,
+        "wall_time_s": 0.0804038969999965,
+        "tail_cache_hit_rate": 0.26744186046511625,
+        "intern_hit_rate": 0.15542521994134897}
+
+    @pytest.fixture(scope="class")
+    def heuristic_perf(self):
+        result = (Simulation.scenario("spec", level="30k").scale(0.002)
+                  .mapper("PAM").dropper("heuristic")
+                  .trials(1, base_seed=42).run())
+        return result.perf
+
+    def test_hash_consed_payload_still_loads(self):
+        perf = PerfStats.from_dict(self.HASH_CONSED_PAYLOAD)
+        assert (perf.interned, perf.intern_hits, perf.scratch_reuses) == (
+            288, 53, 227)
+        assert perf.to_dict() == self.HASH_CONSED_PAYLOAD
+
+    def test_retired_counters_read_zero(self, heuristic_perf):
+        payload = heuristic_perf.to_dict()
+        for key in ("interned", "intern_hits", "scratch_reuses",
+                    "intern_hit_rate"):
+            assert payload[key] == 0
+
+    def test_identity_memos_still_hit(self, heuristic_perf):
+        """The fold memo and the drop-decision memo key on PMF identity;
+        a PAM+heuristic run must keep hitting both."""
+        assert heuristic_perf.fold_memo_hits > 0
+        assert heuristic_perf.drop_cache_hits > 0
 
 
 class TestTracing:
