@@ -34,9 +34,10 @@ from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..metrics.collector import aggregate_trials
+from ..sim.system import SystemConfig
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
-from .registries import (ARRIVALS, DROPPERS, FAULTS, MAPPERS, SCENARIOS,
-                         TOPOLOGIES, UNCERTAINTY)
+from .axes import AXES_BY_KEY, REGISTRY_AXES
+from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
 from .results import RunResult, SweepResult
 
 __all__ = ["Simulation", "SWEEPABLE_AXES"]
@@ -159,10 +160,7 @@ class Simulation:
         gap between the PET's model and a real platform.  ``"none"``
         (default) disables the injection.
         """
-        entry = UNCERTAINTY.get(name)
-        entry.validate(params)
-        return replace(self, uncertainty_name=entry.name,
-                       uncertainty_params=_freeze(params))
+        return self._bind_axis("uncertainty", name, params)
 
     def faults(self, name: str = "none", **params: Any) -> "Simulation":
         """Inject timeline faults by registry name.
@@ -176,10 +174,7 @@ class Simulation:
         enabling faults never perturbs arrivals or PET samples.
         ``"none"`` (default) disables the injection.
         """
-        entry = FAULTS.get(name)
-        entry.validate(params)
-        return replace(self, faults_name=entry.name,
-                       fault_params=_freeze(params))
+        return self._bind_axis("faults", name, params)
 
     def topology(self, name: str = "uniform", **params: Any) -> "Simulation":
         """Select the platform topology by registry name.
@@ -195,10 +190,14 @@ class Simulation:
         samples or fault schedules.  ``"uniform"`` (default, all machines
         at zero cost) disables the axis.
         """
-        entry = TOPOLOGIES.get(name)
-        entry.validate(params)
-        return replace(self, topology_name=entry.name,
-                       topology_params=_freeze(params))
+        return self._bind_axis("topology", name, params)
+
+    def _bind_axis(self, key: str, name: str,
+                   params: Mapping[str, Any]) -> "Simulation":
+        axis = AXES_BY_KEY[key]
+        frozen = _freeze(params)
+        return replace(self, **{axis.spec_field: axis.validate(name, frozen),
+                                str(axis.params_key): frozen})
 
     def level(self, level: str) -> "Simulation":
         """Set the oversubscription level label ("20k", "30k", "40k")."""
@@ -277,9 +276,7 @@ class Simulation:
         bit-for-bit), so like :meth:`incremental` this is a performance
         switch kept switchable for equivalence testing and benchmarking.
         """
-        if backend not in ("loop", "vector"):
-            raise ValueError(f"unknown scoring backend {backend!r}; "
-                             "expected 'loop' or 'vector'")
+        SystemConfig(scoring=backend)
         return replace(self, scoring_backend=backend)
 
     def numerics(self, profile: str = "exact") -> "Simulation":
@@ -297,9 +294,7 @@ class Simulation:
         so it is serialised on plans whenever it is not ``"exact"``.
         Requires the incremental core (``incremental=True``).
         """
-        if profile not in ("exact", "fast"):
-            raise ValueError(f"unknown numerics profile {profile!r}; "
-                             "expected 'exact' or 'fast'")
+        SystemConfig(numerics=profile)
         return replace(self, numerics_profile=profile)
 
     def confidence(self, confidence: float) -> "Simulation":
@@ -322,86 +317,21 @@ class Simulation:
     # ------------------------------------------------------------------
     def build_specs(self) -> Tuple["TrialSpec", ...]:
         """Compile the configuration into picklable per-trial specs."""
-        from ..experiments.runner import TrialSpec
-
-        return tuple(
-            TrialSpec(scenario_name=self.scenario_name, level=self.level_name,
-                      scale=self.scale_value, gamma=self.gamma_value,
-                      queue_capacity=self.queue_capacity_value,
-                      seed=self.base_seed + k, mapper_name=self.mapper_name,
-                      dropper_name=self.dropper_name,
-                      dropper_params=self.dropper_params,
-                      mapper_params=self.mapper_params,
-                      scenario_params=self.scenario_params,
-                      batch_window=self.batch_window_value,
-                      with_cost=self.cost_enabled,
-                      incremental=self.incremental_enabled,
-                      scoring=self.scoring_backend,
-                      numerics=self.numerics_profile,
-                      uncertainty_name=self.uncertainty_name,
-                      uncertainty_params=self.uncertainty_params,
-                      faults_name=self.faults_name,
-                      fault_params=self.fault_params,
-                      topology_name=self.topology_name,
-                      topology_params=self.topology_params)
-            for k in range(self.num_trials))
+        return self.build_plan().cells()[0].specs
 
     def describe_config(self) -> Dict[str, Any]:
         """The configuration as a plain dict (stored on results)."""
-        config: Dict[str, Any] = {
-            "scenario": self.scenario_name,
-            "level": self.level_name,
-            "scale": self.scale_value,
-            "gamma": self.gamma_value,
-            "queue_capacity": self.queue_capacity_value,
-            "batch_window": self.batch_window_value,
-            "mapper": self.mapper_name,
-            "dropper": self.dropper_name,
-            "trials": self.num_trials,
-            "base_seed": self.base_seed,
-            "with_cost": self.cost_enabled,
-        }
-        if not self.incremental_enabled:
-            config["incremental"] = False
-        if self.scoring_backend != "vector":
-            config["scoring"] = self.scoring_backend
-        if self.numerics_profile != "exact":
-            config["numerics"] = self.numerics_profile
-        if self.uncertainty_name != "none":
-            config["uncertainty"] = self.uncertainty_name
-            if self.uncertainty_params:
-                config["uncertainty_params"] = dict(self.uncertainty_params)
-        if self.faults_name != "none":
-            config["faults"] = self.faults_name
-            if self.fault_params:
-                config["fault_params"] = dict(self.fault_params)
-        if self.topology_name != "uniform":
-            config["topology"] = self.topology_name
-            if self.topology_params:
-                config["topology_params"] = dict(self.topology_params)
-        if self.mapper_params:
-            config["mapper_params"] = dict(self.mapper_params)
-        if self.dropper_params:
-            config["dropper_params"] = dict(self.dropper_params)
-        if self.scenario_params:
-            config["scenario_params"] = dict(self.scenario_params)
-        return config
-
-    def _package(self, specs: Tuple["TrialSpec", ...], trials: Sequence[Any],
-                 label: Optional[str]) -> RunResult:
-        """Aggregate executed trials into a :class:`RunResult`."""
-        trials = tuple(trials)
-        aggregate = aggregate_trials(trials, confidence=self.confidence_value)
-        return RunResult(label=label or specs[0].label,
-                         config=self.describe_config(), specs=specs,
-                         trials=trials, aggregate=aggregate)
+        return dict(self.build_plan().cells()[0].config)
 
     def run(self, label: Optional[str] = None) -> RunResult:
         """Execute all trials and return an aggregated :class:`RunResult`."""
         from ..experiments.runner import run_trials
 
-        specs = self.build_specs()
-        return self._package(specs, run_trials(specs, self.n_jobs), label)
+        cell = self.build_plan().cells()[0]
+        trials = tuple(run_trials(cell.specs, self.n_jobs))
+        aggregate = aggregate_trials(trials, confidence=self.confidence_value)
+        return RunResult(label=label or cell.label, config=cell.config,
+                         specs=cell.specs, trials=trials, aggregate=aggregate)
 
     def build_plan(self, name: Optional[str] = None,
                    **axes: Sequence[Any]) -> "ExperimentPlan":
@@ -468,14 +398,11 @@ class Simulation:
             incremental=self.incremental_enabled,
             scoring=self.scoring_backend,
             numerics=self.numerics_profile,
-            uncertainty=self.uncertainty_name,
-            uncertainty_params=self.uncertainty_params,
-            faults=self.faults_name,
-            fault_params=self.fault_params,
-            topology=self.topology_name,
-            topology_params=self.topology_params,
             n_jobs=self.n_jobs,
-            sweep_axes=tuple(names))
+            sweep_axes=tuple(names),
+            **{key: getattr(self, field) for axis in REGISTRY_AXES
+               for key, field in ((axis.plan_key, axis.spec_field),
+                                  (axis.params_key, axis.params_key))})
 
     def sweep(self, on_result: Optional[Callable[[RunResult], None]] = None,
               **axes: Sequence[Any]) -> SweepResult:

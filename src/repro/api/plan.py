@@ -56,9 +56,11 @@ if TYPE_CHECKING:
     from .registry import Registry
 
 from ..metrics.collector import aggregate_trials, trial_metrics_from_dict
+from ..sim.system import SystemConfig
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
-from .registries import (ARRIVALS, DROPPERS, FAULTS, MAPPERS, SCENARIOS,
-                         TOPOLOGIES, UNCERTAINTY)
+from .axes import (AXES, REGISTRY_AXES, active_axes, axis_payload,
+                   freeze_params, spec_kwargs)
+from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
 from .results import METRICS, RunResult, SweepResult
 from .sinks import (CallbackSink, JsonlSpoolSink, ResultSink, SpoolError,
                     read_spool)
@@ -79,18 +81,13 @@ PLAN_AXES: Tuple[str, ...] = ("scenario", "arrival", "level", "mapper",
 _RESERVED_SCENARIO_PARAMS = ("level", "scale", "gamma", "seed",
                              "queue_capacity")
 
-_SCORING_BACKENDS = ("loop", "vector")
-
-_NUMERICS_PROFILES = ("exact", "fast")
-
+#: ``[execution]`` keys besides the optional axes of
+#: :data:`repro.api.axes.AXES`.
+_EXECUTION_KEYS = ("trials", "base_seed", "n_jobs", "incremental", "scoring",
+                   "with_cost", "confidence")
 
 class PlanError(ValueError):
     """Raised when a plan (or plan file) fails validation."""
-
-
-def _freeze(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    """Sorted, hashable view of a keyword-parameter mapping."""
-    return tuple(sorted(params.items()))
 
 
 def _check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
@@ -146,7 +143,8 @@ class PointSpec:
             params = value.get("params") or {}
             if not isinstance(params, Mapping):
                 raise PlanError(f"{where} 'params' must be a table/mapping")
-            return cls(name=str(value["name"]), params=_freeze(params),
+            return cls(name=str(value["name"]),
+                       params=freeze_params(params, where),
                        label=value.get("label"))
         raise PlanError(f"{where} entry must be a name or a table, "
                         f"got {type(value).__name__}")
@@ -254,27 +252,17 @@ class ExperimentPlan:
     with_cost: bool = False
     incremental: bool = True
     scoring: str = "vector"
-    #: Mapping-score arithmetic profile ("exact" keeps scores bit-identical
-    #: to the naive reference, "fast" enables the closed-form / batched-FFT
-    #: score backends within a documented tolerance).  Serialised only when
-    #: not "exact", so plans written before the switch existed keep their
-    #: fingerprints (and spools).
+    #: The optional axes (rows of :data:`repro.api.axes.AXES`): the
+    #: mapping-score arithmetic profile ("exact"/"fast"), the
+    #: unmodelled-delay injector, the timeline fault process and the
+    #: platform topology, each applied to every trial.  An axis at its
+    #: identity value is left out of the serialised plan, so plans written
+    #: before it existed keep their fingerprints (and spools).
     numerics: str = "exact"
-    #: Unmodelled-delay injector applied to every trial ("none" disables).
-    #: Kept out of the serialised execution section when unset, so plans
-    #: written before the axis existed keep their fingerprints (and
-    #: spools).
     uncertainty: str = "none"
     uncertainty_params: Tuple[Tuple[str, Any], ...] = ()
-    #: Timeline fault process injected into every trial ("none" disables).
-    #: Serialised conditionally, like ``uncertainty``, so pre-fault plans
-    #: keep their fingerprints (and spools).
     faults: str = "none"
     fault_params: Tuple[Tuple[str, Any], ...] = ()
-    #: Platform topology applied to every trial ("uniform" -- all machines
-    #: at zero cost -- disables).  Serialised conditionally, like
-    #: ``faults``, so pre-topology plans keep their fingerprints (and
-    #: spools).
     topology: str = "uniform"
     topology_params: Tuple[Tuple[str, Any], ...] = ()
     n_jobs: int = 1
@@ -329,22 +317,14 @@ class ExperimentPlan:
         set_(self, "with_cost", bool(self.with_cost))
         set_(self, "incremental", bool(self.incremental))
         set_(self, "scoring", str(self.scoring))
-        set_(self, "numerics", str(self.numerics))
-        set_(self, "uncertainty", str(self.uncertainty))
-        params = self.uncertainty_params
-        set_(self, "uncertainty_params",
-             _freeze(params) if isinstance(params, Mapping)
-             else tuple((str(k), v) for k, v in params))
-        set_(self, "faults", str(self.faults))
-        params = self.fault_params
-        set_(self, "fault_params",
-             _freeze(params) if isinstance(params, Mapping)
-             else tuple((str(k), v) for k, v in params))
-        set_(self, "topology", str(self.topology))
-        params = self.topology_params
-        set_(self, "topology_params",
-             _freeze(params) if isinstance(params, Mapping)
-             else tuple((str(k), v) for k, v in params))
+        try:
+            for axis in AXES:
+                set_(self, axis.plan_key, str(getattr(self, axis.plan_key)))
+                if axis.params_key:
+                    set_(self, axis.params_key, freeze_params(
+                        getattr(self, axis.params_key), axis.params_key))
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
         set_(self, "n_jobs", int(self.n_jobs))
         self._validate()
 
@@ -407,34 +387,12 @@ class ExperimentPlan:
             raise PlanError("batch window must be at least 1")
         if not 0.0 < self.confidence < 1.0:
             raise PlanError("confidence must be in (0, 1)")
-        if self.scoring not in _SCORING_BACKENDS:
-            raise PlanError(f"unknown scoring backend {self.scoring!r}; "
-                            f"expected one of {_SCORING_BACKENDS}")
-        if self.numerics not in _NUMERICS_PROFILES:
-            raise PlanError(f"unknown numerics profile {self.numerics!r}; "
-                            f"expected one of {_NUMERICS_PROFILES}")
-        if self.numerics == "fast" and not self.incremental:
-            raise PlanError("numerics='fast' requires incremental=True (the "
-                            "fast backends live on the run's fold kernel)")
         try:
-            entry = UNCERTAINTY.get(self.uncertainty)
-            entry.validate(dict(self.uncertainty_params))
-        except PlanError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanError(str(exc)) from None
-        try:
-            entry = FAULTS.get(self.faults)
-            entry.validate(dict(self.fault_params))
-        except PlanError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanError(str(exc)) from None
-        try:
-            entry = TOPOLOGIES.get(self.topology)
-            entry.validate(dict(self.topology_params))
-        except PlanError:
-            raise
+            SystemConfig(incremental=self.incremental, scoring=self.scoring,
+                         numerics=self.numerics)
+            for axis in REGISTRY_AXES:
+                axis.validate(getattr(self, axis.plan_key),
+                              getattr(self, str(axis.params_key)))
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(str(exc)) from None
         if self.n_jobs < 1:
@@ -495,6 +453,7 @@ class ExperimentPlan:
 
         swept = set(self.swept_axes())
         paired = bool(self.pairs)
+        axes = spec_kwargs(self)
         cells: List[PlanCell] = []
         arrivals: Tuple[Optional[str], ...] = self.arrivals or (None,)
         for scenario in self.scenarios:
@@ -502,7 +461,8 @@ class ExperimentPlan:
                 scenario_params = dict(scenario.params)
                 if arrival is not None:
                     scenario_params["arrival"] = arrival
-                frozen_scenario_params = _freeze(scenario_params)
+                frozen_scenario_params = freeze_params(scenario_params,
+                                                       "scenario params")
                 for level in self.levels:
                     for pair in self.grid_pairs:
                         mapper, dropper = pair.mapper, pair.dropper
@@ -522,15 +482,7 @@ class ExperimentPlan:
                                         batch_window=self.batch_window,
                                         with_cost=self.with_cost,
                                         incremental=self.incremental,
-                                        scoring=self.scoring,
-                                        numerics=self.numerics,
-                                        uncertainty_name=self.uncertainty,
-                                        uncertainty_params=(
-                                            self.uncertainty_params),
-                                        faults_name=self.faults,
-                                        fault_params=self.fault_params,
-                                        topology_name=self.topology,
-                                        topology_params=self.topology_params)
+                                        scoring=self.scoring, **axes)
                                     for k in range(self.trials))
                                 axis_values = (
                                     ("scenario", scenario.name),
@@ -585,8 +537,6 @@ class ExperimentPlan:
                      frozen_scenario_params: Tuple[Tuple[str, Any], ...],
                      level: str, mapper: PointSpec, dropper: PointSpec,
                      scale: float, gamma: float) -> Dict[str, Any]:
-        # Mirrors Simulation.describe_config so plan-driven sweeps report
-        # the exact config payload the fluent builder always has.
         config: Dict[str, Any] = {
             "scenario": scenario.name,
             "level": level,
@@ -606,20 +556,7 @@ class ExperimentPlan:
             config["incremental"] = False
         if self.scoring != "vector":
             config["scoring"] = self.scoring
-        if self.numerics != "exact":
-            config["numerics"] = self.numerics
-        if self.uncertainty != "none":
-            config["uncertainty"] = self.uncertainty
-            if self.uncertainty_params:
-                config["uncertainty_params"] = dict(self.uncertainty_params)
-        if self.faults != "none":
-            config["faults"] = self.faults
-            if self.fault_params:
-                config["fault_params"] = dict(self.fault_params)
-        if self.topology != "uniform":
-            config["topology"] = self.topology
-            if self.topology_params:
-                config["topology_params"] = dict(self.topology_params)
+        config.update(axis_payload(self))
         if mapper.params:
             config["mapper_params"] = dict(mapper.params)
         if dropper.params:
@@ -658,23 +595,7 @@ class ExperimentPlan:
             "with_cost": self.with_cost,
             "confidence": self.confidence,
         }
-        # ``numerics`` is serialised only when it departs from the default so
-        # that pre-existing plan files, fingerprints, and spool directories
-        # (written before the key existed) remain byte-identical.
-        if self.numerics != "exact":
-            execution["numerics"] = self.numerics
-        if self.uncertainty != "none":
-            execution["uncertainty"] = self.uncertainty
-            if self.uncertainty_params:
-                execution["uncertainty_params"] = dict(self.uncertainty_params)
-        if self.faults != "none":
-            execution["faults"] = self.faults
-            if self.fault_params:
-                execution["fault_params"] = dict(self.fault_params)
-        if self.topology != "uniform":
-            execution["topology"] = self.topology
-            if self.topology_params:
-                execution["topology_params"] = dict(self.topology_params)
+        execution.update(axis_payload(self))
         payload: Dict[str, Any] = {
             "name": self.name,
             "metrics": list(self.metrics),
@@ -705,12 +626,10 @@ class ExperimentPlan:
         grid = payload.get("grid", {})
         _check_keys(grid, ("mappers", "droppers", "pairs"), "plan grid")
         execution = payload.get("execution", {})
-        _check_keys(execution, ("trials", "base_seed", "n_jobs",
-                                "incremental", "scoring", "numerics",
-                                "with_cost", "confidence", "uncertainty",
-                                "uncertainty_params", "faults",
-                                "fault_params", "topology",
-                                "topology_params"), "plan execution")
+        execution_keys = _EXECUTION_KEYS + tuple(
+            key for axis in AXES
+            for key in (axis.plan_key, axis.params_key) if key)
+        _check_keys(execution, execution_keys, "plan execution")
         if "pairs" in grid and ("mappers" in grid or "droppers" in grid):
             raise PlanError("plan grid takes either 'pairs' or "
                             "'mappers'/'droppers', not both")
@@ -731,10 +650,7 @@ class ExperimentPlan:
         for key in ("mappers", "droppers", "pairs"):
             if key in grid:
                 kwargs[key] = grid[key]
-        for key in ("trials", "base_seed", "n_jobs", "incremental",
-                    "scoring", "numerics", "with_cost", "confidence",
-                    "uncertainty", "uncertainty_params", "faults",
-                    "fault_params", "topology", "topology_params"):
+        for key in execution_keys:
             if key in execution:
                 kwargs[key] = execution[key]
         return cls(**kwargs)
@@ -814,15 +730,10 @@ class ExperimentPlan:
         lines.append(f"  engine  : incremental={self.incremental} "
                      f"scoring={self.scoring} numerics={self.numerics} "
                      f"n_jobs={self.n_jobs} with_cost={self.with_cost}")
-        if self.uncertainty != "none":
-            lines.append(f"  uncertainty: {self.uncertainty} "
-                         f"{dict(self.uncertainty_params) or ''}".rstrip())
-        if self.faults != "none":
-            lines.append(f"  faults  : {self.faults} "
-                         f"{dict(self.fault_params) or ''}".rstrip())
-        if self.topology != "uniform":
-            lines.append(f"  topology: {self.topology} "
-                         f"{dict(self.topology_params) or ''}".rstrip())
+        for axis, value, params in active_axes(self):
+            if axis.registry:
+                lines.append(f"  {axis.plan_key:<8}: {value} "
+                             f"{dict(params) or ''}".rstrip())
         lines.append(f"  metrics : {', '.join(self.metrics)}")
         for pair in self.grid_pairs:
             mapper_params = dict(pair.mapper.params)

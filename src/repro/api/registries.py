@@ -203,7 +203,10 @@ def _make_composed_uncertainty(
         models: Sequence[object] = ("network_latency", "machine_stall"),
 ) -> UncertaintyModel:
     """Compose registered models by name; each name may also be a
-    ``(name, params_dict)`` pair for per-component parameters."""
+    ``(name, params_dict)`` pair for per-component parameters.  A bare
+    string is one model name (``--uncertainty-param models=NAME``)."""
+    if isinstance(models, str):
+        models = (models,)
     built = []
     for entry in models:
         if isinstance(entry, str):

@@ -94,7 +94,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig
 from .figures import (FigureResult, figure5_effective_depth, figure6_beta,
@@ -103,6 +103,9 @@ from .figures import (FigureResult, figure5_effective_depth, figure6_beta,
                       figure10_transcoding, figure_churn_ranking,
                       figure_locality_ranking, reactive_share_analysis)
 from .reporting import format_figure_table
+
+if TYPE_CHECKING:
+    from ..api.axes import Axis
 
 __all__ = ["main", "build_parser"]
 
@@ -161,37 +164,50 @@ def _add_run_style_options(parser: argparse.ArgumentParser) -> None:
                         help="deadline slack coefficient (default 1.0)")
     parser.add_argument("--cost", action="store_true",
                         help="track the cost metrics of every trial")
-    parser.add_argument("--numerics", default="exact",
-                        choices=["exact", "fast"],
-                        help="fold-numerics profile: 'exact' is bit-identical "
-                             "to the naive reference; 'fast' uses batched FFT "
-                             "folds and closed-form success scores "
-                             "(tolerance-bounded; default: exact)")
-    parser.add_argument("--uncertainty", default=None,
-                        help="unmodelled-delay injector registry name "
-                             "(e.g. network_latency; default: none)")
-    parser.add_argument("--uncertainty-param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="uncertainty-model parameter, e.g. "
-                             "--uncertainty-param mean_latency=5 (repeatable)")
-    parser.add_argument("--faults", default=None,
-                        help="fault-process registry name "
-                             "(e.g. crash-restart; default: none; "
-                             "see list-faults)")
-    parser.add_argument("--fault-param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="fault-process parameter, e.g. "
-                             "--fault-param mtbf=1500 or "
-                             "--fault-param policy=drop (repeatable)")
-    parser.add_argument("--topology", default=None,
-                        help="platform-topology registry name "
-                             "(e.g. tiered-edge-cloud; default: uniform; "
-                             "see list-topologies)")
-    parser.add_argument("--topology-param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="topology parameter, e.g. "
-                             "--topology-param task_bytes=192 or "
-                             "--topology-param bandwidth=48 (repeatable)")
+    _add_axis_options(parser)
+
+
+def _add_axis_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per optional axis of :data:`repro.api.axes.AXES`, plus a
+    repeatable ``--X-param KEY=VALUE`` for each registry-backed axis."""
+    from ..api.axes import AXES
+    from ..core.completion import NUMERICS_PROFILES
+
+    for axis in AXES:
+        if axis.registry is None:
+            parser.add_argument(
+                f"--{axis.plan_key}", default=axis.identity,
+                choices=NUMERICS_PROFILES,
+                help="fold-numerics profile: 'exact' is bit-identical to "
+                     "the naive reference; 'fast' uses batched FFT folds "
+                     "and closed-form success scores (tolerance-bounded; "
+                     "default: exact)")
+            continue
+        kind = axis.resolve().kind
+        listing = next(command for command, (attr, _)
+                       in LIST_COMMANDS.items() if attr == axis.registry)
+        parser.add_argument(f"--{axis.plan_key}", default=None,
+                            help=f"{kind} registry name (default: "
+                                 f"{axis.identity}; see {listing})")
+        parser.add_argument(axis.param_flag, dest=axis.params_key,
+                            action="append", default=[], metavar="KEY=VALUE",
+                            help=f"{kind} parameter; a value that is not a "
+                                 f"number stays a string (repeatable)")
+
+
+def _axis_args(args: argparse.Namespace
+               ) -> Iterator[Tuple["Axis", str, Dict[str, object]]]:
+    """``(axis, name, params)`` of every registry axis from its flags (the
+    identity value when the axis flag is absent)."""
+    from ..api.axes import REGISTRY_AXES
+
+    for axis in REGISTRY_AXES:
+        name = getattr(args, axis.plan_key)
+        params = _parse_params(getattr(args, str(axis.params_key)),
+                               axis.param_flag, allow_str=True)
+        if params and not name:
+            raise ValueError(f"{axis.param_flag} requires --{axis.plan_key}")
+        yield axis, name or axis.identity, params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,30 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deadline slack coefficient (default 1.0)")
     serve.add_argument("--seed", type=int, default=0,
                        help="base random seed (default 0)")
-    serve.add_argument("--numerics", default="exact",
-                       choices=["exact", "fast"],
-                       help="fold-numerics profile of the live system "
-                            "(default: exact; see 'repro run --help')")
-    serve.add_argument("--uncertainty", default=None,
-                       help="unmodelled-delay injector registry name "
-                            "(default: none; see list-uncertainty)")
-    serve.add_argument("--uncertainty-param", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="uncertainty-model parameter (repeatable)")
-    serve.add_argument("--faults", default=None,
-                       help="fault-process registry name "
-                            "(default: none; see list-faults)")
-    serve.add_argument("--fault-param", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="fault-process parameter, e.g. "
-                            "--fault-param mtbf=1500 (repeatable)")
-    serve.add_argument("--topology", default=None,
-                       help="platform-topology registry name "
-                            "(default: uniform; see list-topologies)")
-    serve.add_argument("--topology-param", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="topology parameter, e.g. "
-                            "--topology-param task_bytes=192 (repeatable)")
+    _add_axis_options(serve)
     serve.add_argument("--warmup", type=int, default=0, metavar="T",
                        help="trim metrics windows that start before time T "
                             "from the reported timeline, so steady-state "
@@ -547,8 +540,8 @@ def _parse_params(pairs: Sequence[str], flag: str,
     """Parse repeated ``FLAG key=value`` options (values become numbers).
 
     ``flag`` names the option in error messages.  With ``allow_str`` a
-    non-numeric value stays a string -- fault processes take categorical
-    parameters like ``policy=drop`` or ``scope=system``.
+    non-numeric value stays a string -- the axis models take categorical
+    parameters like ``policy=drop`` or ``models=network_latency``.
     """
     params: Dict[str, object] = {}
     for pair in pairs:
@@ -605,28 +598,9 @@ def _plan_from_run_args(args: argparse.Namespace) -> "ExperimentPlan":
               file=sys.stderr)
 
     sim = (sim.level(args.level[0]).mapper(args.mapper[0])
-           .dropper(args.dropper[0], **params))
-    if args.numerics != "exact":
-        sim = sim.numerics(args.numerics)
-    if args.uncertainty:
-        sim = sim.uncertainty(args.uncertainty,
-                              **_parse_params(args.uncertainty_param,
-                                              "--uncertainty-param"))
-    elif args.uncertainty_param:
-        raise ValueError("--uncertainty-param requires --uncertainty")
-    if args.faults:
-        sim = sim.faults(args.faults,
-                         **_parse_params(args.fault_param, "--fault-param",
-                                         allow_str=True))
-    elif args.fault_param:
-        raise ValueError("--fault-param requires --faults")
-    if args.topology:
-        sim = sim.topology(args.topology,
-                           **_parse_params(args.topology_param,
-                                           "--topology-param",
-                                           allow_str=True))
-    elif args.topology_param:
-        raise ValueError("--topology-param requires --topology")
+           .dropper(args.dropper[0], **params).numerics(args.numerics))
+    for axis, name, axis_params in _axis_args(args):
+        sim = getattr(sim, axis.plan_key)(name, **axis_params)
     return sim.build_plan(**axes)
 
 
@@ -820,18 +794,10 @@ def _command_serve(args: argparse.Namespace) -> int:
             plan = plan.with_warmup(args.warmup)
         service = StreamingSimulation(plan.stream, on_window=on_window)
     else:
-        uncertainty_params = _parse_params(args.uncertainty_param,
-                                           "--uncertainty-param")
-        if uncertainty_params and not args.uncertainty:
-            raise ValueError("--uncertainty-param requires --uncertainty")
-        fault_params = _parse_params(args.fault_param, "--fault-param",
-                                     allow_str=True)
-        if fault_params and not args.faults:
-            raise ValueError("--fault-param requires --faults")
-        topology_params = _parse_params(args.topology_param,
-                                        "--topology-param", allow_str=True)
-        if topology_params and not args.topology:
-            raise ValueError("--topology-param requires --topology")
+        axes: Dict[str, object] = {}
+        for axis, name, params in _axis_args(args):
+            axes[axis.spec_field] = name
+            axes[str(axis.params_key)] = params
         spec = StreamSpec(
             scenario_name=args.scenario,
             traffic_name=args.traffic,
@@ -843,15 +809,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             dropper_params=_parse_params(args.param, "--param"),
             traffic_params=_parse_params(args.traffic_param,
                                          "--traffic-param"),
-            uncertainty_name=args.uncertainty or "none",
-            uncertainty_params=uncertainty_params,
-            faults_name=args.faults or "none",
-            fault_params=fault_params,
-            topology_name=args.topology or "uniform",
-            topology_params=topology_params,
             numerics=args.numerics,
             metrics_window=args.window,
-            metrics_decay=args.decay)
+            metrics_decay=args.decay, **axes)
         plan = StreamPlan(name="serve", stream=spec, horizon=args.horizon,
                           snapshot_every=args.snapshot_every,
                           warmup=args.warmup)

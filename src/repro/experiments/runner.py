@@ -25,12 +25,13 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 
 import numpy as np
 
+from ..api.axes import build_system
 from ..core.dropping import DroppingPolicy
 from ..cost.pricing import PricingModel
-from ..mapping import make_heuristic
 from ..metrics.collector import (AggregateMetrics, TrialMetrics,
                                  collect_trial_metrics)
-from ..sim.system import HCSystem, SystemConfig
+from ..sim.fault_events import FAULT_SEED_OFFSET
+from ..sim.system import HCSystem
 from ..workload.scenario import Scenario, build_scenario
 from .config import ExperimentConfig
 
@@ -101,32 +102,18 @@ class TrialSpec:
         Forwarded to :class:`~repro.sim.system.SystemConfig`: score-plane
         backend of the two-phase mapping heuristics (``"vector"`` batched
         NumPy engine, ``"loop"`` per-pair reference; identical results).
-    numerics:
-        Forwarded to :class:`~repro.sim.system.SystemConfig`: mapping-score
-        arithmetic profile (``"exact"`` bit-identical to naive, ``"fast"``
-        closed-form chance + batched FFT folds within a documented
-        tolerance; requires ``incremental=True``).
     small_plane_tasks:
         Override of the vector backend's small-plane fallback threshold
         (``None`` keeps the measured default,
         :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).  Used by the
         ``repro bench --suite crossover`` micro-benchmark to force one
         backend or the other at a pinned plane width.
-    uncertainty_name / uncertainty_params:
-        Unmodelled-delay injector from the
-        :data:`repro.api.registries.UNCERTAINTY` registry, applied to every
-        sampled execution time (``"none"`` disables, the default).
-    faults_name / fault_params:
-        Timeline fault process from the
-        :data:`repro.api.registries.FAULTS` registry, emitting crash /
-        slowdown / partition events onto the simulation timeline
-        (``"none"`` disables, the default).
-    topology_name / topology_params:
-        Platform topology from the
-        :data:`repro.api.registries.TOPOLOGIES` registry, composing
-        data-transfer delays into every completion-time PMF
-        (``"uniform"`` -- all machines at zero cost -- disables, the
-        default).
+    numerics / uncertainty_name / uncertainty_params / faults_name /
+    fault_params / topology_name / topology_params:
+        The optional axes, one row each of :data:`repro.api.axes.AXES`
+        (fold-numerics profile, unmodelled-delay injector, timeline fault
+        process, platform topology); each defaults to the value that
+        disables it.
     """
 
     scenario_name: str
@@ -169,21 +156,6 @@ class TrialSpec:
         return dict(self.scenario_params)
 
     @property
-    def uncertainty_kwargs(self) -> Dict[str, object]:
-        """Uncertainty-model parameters as a dictionary."""
-        return dict(self.uncertainty_params)
-
-    @property
-    def fault_kwargs(self) -> Dict[str, object]:
-        """Fault-process parameters as a dictionary."""
-        return dict(self.fault_params)
-
-    @property
-    def topology_kwargs(self) -> Dict[str, object]:
-        """Topology parameters as a dictionary."""
-        return dict(self.topology_params)
-
-    @property
     def label(self) -> str:
         """Short configuration label, e.g. ``"PAM+Heuristic"``.
 
@@ -207,40 +179,7 @@ def build_system_for_trial(scenario: Scenario, spec: TrialSpec,
                            fault_rng: Optional[np.random.Generator] = None
                            ) -> HCSystem:
     """Assemble a simulator instance for one trial of ``scenario``."""
-    mapper = make_heuristic(spec.mapper_name, **spec.mapper_kwargs)
-    dropper = make_dropper(spec.dropper_name, **spec.dropper_kwargs)
-    uncertainty = None
-    if spec.uncertainty_name != "none":
-        from ..api.registries import UNCERTAINTY
-        uncertainty = UNCERTAINTY.create(spec.uncertainty_name,
-                                         **spec.uncertainty_kwargs)
-    faults = None
-    if spec.faults_name != "none":
-        from ..api.registries import FAULTS
-        faults = FAULTS.create(spec.faults_name, **spec.fault_kwargs)
-    topology = None
-    if spec.topology_name != "uniform":
-        from ..api.registries import TOPOLOGIES
-        topology = TOPOLOGIES.create(spec.topology_name,
-                                     **spec.topology_kwargs)
-    config = SystemConfig(queue_capacity=spec.queue_capacity,
-                          batch_window=spec.batch_window,
-                          incremental=spec.incremental,
-                          scoring=spec.scoring,
-                          numerics=spec.numerics,
-                          small_plane_tasks=spec.small_plane_tasks)
-    system = HCSystem(machine_types=list(scenario.platform.machine_types),
-                      machines=scenario.build_machines(),
-                      task_types=list(scenario.task_types),
-                      pet=scenario.pet,
-                      mapper=mapper,
-                      dropper=dropper,
-                      config=config,
-                      rng=rng,
-                      uncertainty=uncertainty,
-                      faults=faults,
-                      fault_rng=fault_rng,
-                      topology=topology)
+    system = build_system(scenario, spec, rng, fault_rng=fault_rng)
     system.submit(scenario.fresh_tasks())
     return system
 
@@ -312,10 +251,7 @@ def run_trial(spec: TrialSpec,
     # same arrivals and deadlines.  The fault stream is decoupled from
     # both so enabling faults never perturbs arrivals or PET samples.
     rng = np.random.default_rng(spec.seed + 1_000_003)
-    fault_rng = None
-    if spec.faults_name != "none":
-        from ..sim.fault_events import FAULT_SEED_OFFSET
-        fault_rng = np.random.default_rng(spec.seed + FAULT_SEED_OFFSET)
+    fault_rng = np.random.default_rng(spec.seed + FAULT_SEED_OFFSET)
     system = build_system_for_trial(scenario, spec, rng, fault_rng=fault_rng)
     result = system.run()
     pricing = None

@@ -24,14 +24,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.completion import (ChainFolder, QueueEntry, active_folder,
-                               completion_pmf)
+from ..core.completion import (NUMERICS_PROFILES, ChainFolder, QueueEntry,
+                               active_folder, completion_pmf)
 from ..core.dropping import (DropDecision, DroppingPolicy, MachineQueueView,
                              NoProactiveDropping)
 from ..core.pet import PETMatrix
 from ..core.pmf import PMF
-from ..mapping.base import (Assignment, MachineState, MappingContext,
-                            MappingHeuristic, TaskView)
+from ..mapping.base import (SCORING_BACKENDS, Assignment, MachineState,
+                            MappingContext, MappingHeuristic, TaskView)
 from ..platform.topology import BoundTopology, EffectiveExecution, Topology
 from .batch_queue import BatchQueue
 from .engine import SimulationEngine
@@ -116,12 +116,12 @@ class SystemConfig:
             raise ValueError("batch window must be at least 1")
         if self.prune_eps < 0:
             raise ValueError("prune_eps cannot be negative")
-        if self.scoring not in ("loop", "vector"):
+        if self.scoring not in SCORING_BACKENDS:
             raise ValueError(f"unknown scoring backend {self.scoring!r}; "
-                             "expected 'loop' or 'vector'")
-        if self.numerics not in ("exact", "fast"):
+                             f"expected one of {SCORING_BACKENDS}")
+        if self.numerics not in NUMERICS_PROFILES:
             raise ValueError(f"unknown numerics profile {self.numerics!r}; "
-                             "expected 'exact' or 'fast'")
+                             f"expected one of {NUMERICS_PROFILES}")
         if self.numerics == "fast" and not self.incremental:
             raise ValueError("numerics='fast' requires incremental=True "
                              "(the fast backends live on the run's fold "

@@ -26,10 +26,9 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..mapping import make_heuristic
 from ..metrics.collector import TrialMetrics, collect_trial_metrics
 from ..sim.fault_events import FAULT_SEED_OFFSET
-from ..sim.system import HCSystem, SystemConfig
+from ..sim.system import SystemConfig
 from ..sim.task import Task
 from ..workload.arrivals import rate_for_oversubscription
 from ..workload.deadlines import PaperDeadlinePolicy
@@ -47,11 +46,6 @@ TRAFFIC_SEED_OFFSET = 7_919
 #: batch runner uses, so a streaming run and a batch trial sharing a seed
 #: draw execution times from the same generator state.
 EXECUTION_SEED_OFFSET = 1_000_003
-
-
-def _freeze(params: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:
-    """Normalise a params mapping to a sorted, hashable tuple of pairs."""
-    return tuple(sorted(dict(params).items()))
 
 
 @dataclass(frozen=True)
@@ -79,29 +73,18 @@ class StreamSpec:
         from ``oversubscription``), e.g. ``burst_multiplier``.
     mapper_name / mapper_params / dropper_name / dropper_params:
         Mapping heuristic and dropping policy, by registry name.
-    uncertainty_name / uncertainty_params:
-        Unmodelled-delay injector from the
-        :data:`repro.api.registries.UNCERTAINTY` registry ("none" disables).
-    faults_name / fault_params:
-        Timeline fault process from the
-        :data:`repro.api.registries.FAULTS` registry ("none" disables);
-        faults draw from a dedicated seeded stream
-        (``seed + FAULT_SEED_OFFSET``), so enabling them never perturbs
-        traffic or execution sampling.
-    topology_name / topology_params:
-        Platform topology from the
-        :data:`repro.api.registries.TOPOLOGIES` registry ("uniform"
-        disables).  Transfer schedules are deterministic and RNG-free, so
-        enabling a topology never perturbs traffic, execution sampling or
-        fault schedules.  Snapshots written before the field existed
-        restore as ``"uniform"`` (the dataclass default).
     metrics_window / metrics_decay:
         Tumbling-window length and EWMA factor of the live metrics.
     gamma / queue_capacity / batch_window / seed / scenario_params /
-    incremental / scoring / numerics:
-        As in :class:`~repro.experiments.runner.TrialSpec`.  Snapshots
-        written before the ``numerics`` field existed restore as
-        ``"exact"`` (the dataclass default), preserving their replay.
+    incremental / scoring and the optional axes (numerics /
+    uncertainty_name / uncertainty_params / faults_name / fault_params /
+    topology_name / topology_params):
+        As in :class:`~repro.experiments.runner.TrialSpec`.  Faults draw
+        from a dedicated seeded stream (``seed + FAULT_SEED_OFFSET``) and
+        transfer schedules are RNG-free, so enabling either never perturbs
+        traffic or execution sampling.  Snapshots written before an axis
+        existed restore with its disabling default, preserving their
+        replay.
     """
 
     scenario_name: str = "spec"
@@ -130,17 +113,14 @@ class StreamSpec:
     metrics_decay: float = 0.2
 
     def __post_init__(self) -> None:
+        from ..api.axes import freeze_params
+
         # Accept plain dicts for all *_params fields and freeze them, so
         # StreamSpec(dropper_params={"beta": 1.0}) just works.
-        for name in ("mapper_params", "dropper_params", "traffic_params",
-                     "scenario_params", "uncertainty_params",
-                     "fault_params", "topology_params"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, _freeze(value))
-            else:
-                object.__setattr__(self, name,
-                                   tuple((str(k), v) for k, v in value))
+        for f in dataclass_fields(self):
+            if f.name.endswith("_params"):
+                object.__setattr__(self, f.name, freeze_params(
+                    getattr(self, f.name), f.name))
         if self.oversubscription <= 0:
             raise ValueError("oversubscription must be positive")
         if self.gamma < 0:
@@ -149,13 +129,10 @@ class StreamSpec:
             raise ValueError("metrics window must be positive")
         if not 0 < self.metrics_decay <= 1:
             raise ValueError("metrics decay must be within (0, 1]")
-        if self.numerics not in ("exact", "fast"):
-            raise ValueError(f"unknown numerics profile {self.numerics!r}; "
-                             f"expected 'exact' or 'fast'")
-        if self.numerics == "fast" and not self.incremental:
-            raise ValueError("numerics='fast' requires incremental=True "
-                             "(the fast backends live on the run's fold "
-                             "kernel)")
+        SystemConfig(queue_capacity=self.queue_capacity,
+                     batch_window=self.batch_window,
+                     incremental=self.incremental, scoring=self.scoring,
+                     numerics=self.numerics)
 
     # ------------------------------------------------------------------
     @property
@@ -219,8 +196,8 @@ class StreamingSimulation:
         # The registries live in repro.api, which imports this package for
         # its TRAFFIC entries; import lazily to keep the module graph
         # acyclic (the same idiom the workload layer uses for ARRIVALS).
-        from ..api.registries import (DROPPERS, FAULTS, TOPOLOGIES, TRAFFIC,
-                                      UNCERTAINTY)
+        from ..api.axes import build_system
+        from ..api.registries import TRAFFIC
 
         if chunk_tasks < 1:
             raise ValueError("chunk_tasks must be positive")
@@ -248,46 +225,15 @@ class StreamingSimulation:
         self.traffic = TRAFFIC.create(spec.traffic_name,
                                       rate=self.arrival_rate,
                                       **dict(spec.traffic_params))
-        uncertainty = None
-        if spec.uncertainty_name != "none":
-            uncertainty = UNCERTAINTY.create(spec.uncertainty_name,
-                                             **dict(spec.uncertainty_params))
-        faults = None
-        fault_rng = None
-        if spec.faults_name != "none":
-            faults = FAULTS.create(spec.faults_name,
-                                   **dict(spec.fault_params))
-            fault_rng = np.random.default_rng(spec.seed + FAULT_SEED_OFFSET)
-        topology = None
-        if spec.topology_name != "uniform":
-            topology = TOPOLOGIES.create(spec.topology_name,
-                                         **dict(spec.topology_params))
-
         self.live = LiveMetrics(window=spec.metrics_window,
                                 decay=spec.metrics_decay,
                                 perf_source=self._perf_counters,
                                 on_window=on_window)
-        config = SystemConfig(queue_capacity=spec.queue_capacity,
-                              batch_window=spec.batch_window,
-                              incremental=spec.incremental,
-                              scoring=spec.scoring,
-                              numerics=spec.numerics)
-        self.system = HCSystem(
-            machine_types=list(self.platform.machine_types),
-            machines=scenario.build_machines(),
-            task_types=list(self.task_types),
-            pet=self.pet,
-            mapper=make_heuristic(spec.mapper_name,
-                                  **dict(spec.mapper_params)),
-            dropper=DROPPERS.create(spec.dropper_name,
-                                    **dict(spec.dropper_params)),
-            config=config,
-            rng=np.random.default_rng(spec.seed + EXECUTION_SEED_OFFSET),
-            trace=self.live,
-            uncertainty=uncertainty,
-            faults=faults,
-            fault_rng=fault_rng,
-            topology=topology)
+        self.system = build_system(
+            scenario, spec,
+            np.random.default_rng(spec.seed + EXECUTION_SEED_OFFSET),
+            fault_rng=np.random.default_rng(spec.seed + FAULT_SEED_OFFSET),
+            trace=self.live)
 
         self._deadline_policy = PaperDeadlinePolicy(gamma=spec.gamma)
         self._events: Iterator[Tuple[int, int]] = self.traffic.events(

@@ -90,6 +90,17 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["numerics"] == "fast"
 
+    def test_uncertainty_param_takes_strings(self, capsys):
+        import json
+
+        exit_code = main(["run", "--scale", "0.002", "--trials", "1",
+                          "--uncertainty", "composed", "--uncertainty-param",
+                          "models=network_latency", "--json"])
+        assert exit_code == 0, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["uncertainty_params"] == {
+            "models": "network_latency"}
+
     def test_numerics_default_left_out_of_config(self, capsys):
         import json
 

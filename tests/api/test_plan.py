@@ -193,6 +193,20 @@ class TestRoundTrip:
         with pytest.raises(PlanError, match="plan execution"):
             ExperimentPlan.from_dict({"execution": {"trails": 2}})
 
+    @pytest.mark.parametrize("name,text", [
+        ("plan.toml", '[execution]\nfaults = "crash-restart"\n'
+                      'fault_params = 3\n'),
+        ("plan.json", '{"execution": {"faults": "crash-restart", '
+                      '"fault_params": 3}}'),
+    ], ids=["toml", "json"])
+    def test_axis_params_must_be_a_table(self, tmp_path, name, text):
+        pytest.importorskip("tomllib")
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(PlanError, match="fault_params must be a table "
+                                            "of KEY = VALUE, got int"):
+            ExperimentPlan.from_file(str(path))
+
     def test_grid_pairs_and_product_mutually_exclusive(self):
         with pytest.raises(PlanError, match="not both"):
             ExperimentPlan.from_dict(

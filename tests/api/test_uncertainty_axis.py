@@ -34,6 +34,11 @@ class TestRegistry:
         assert isinstance(model.models[0], MachineStallModel)
         assert model.models[0].stall_probability == 0.5
 
+    def test_composed_bare_string_is_one_model(self):
+        model = UNCERTAINTY.create("composed", models="network_latency")
+        assert len(model.models) == 1
+        assert isinstance(model.models[0], NetworkLatencyModel)
+
     def test_composed_rejects_self_nesting(self):
         with pytest.raises(ValueError):
             UNCERTAINTY.create("composed", models=["composed"])

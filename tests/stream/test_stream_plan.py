@@ -24,6 +24,20 @@ class TestSerialisation:
         plan.to_file(str(path))
         assert StreamPlan.from_file(str(path)) == plan
 
+    @pytest.mark.parametrize("name,text", [
+        ("plan.toml", 'name = "svc"\n[stream]\nfaults_name = "slowdown"\n'
+                      'fault_params = 3\n'),
+        ("plan.json", '{"name": "svc", "stream": {"faults_name": "slowdown", '
+                      '"fault_params": 3}}'),
+    ], ids=["toml", "json"])
+    def test_axis_params_must_be_a_table(self, tmp_path, name, text):
+        pytest.importorskip("tomllib")
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match="fault_params must be a table "
+                                             "of KEY = VALUE, got int"):
+            StreamPlan.from_file(str(path))
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
