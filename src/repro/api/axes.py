@@ -25,7 +25,7 @@ with :mod:`repro.api.registries` (which imports the stream package).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -116,13 +116,14 @@ AXES_BY_KEY: Dict[str, Axis] = {a.plan_key: a for a in AXES}
 def freeze_params(value: Any, key: str) -> Params:
     """Coerce a params table (mapping or pairs) to a hashable tuple.
 
-    A mapping is sorted by key; a tuple of pairs keeps its order.  Anything
-    else is rejected with ``key`` and the offending type in the message.
+    A mapping is sorted by key; a sequence of pairs keeps its order.
+    Anything else is rejected with ``key`` and the offending type in the
+    message.
     """
+    if isinstance(value, Mapping):
+        return tuple(sorted(value.items()))
     try:
-        if isinstance(value, tuple):
-            return tuple((str(k), v) for k, v in value)
-        return tuple(sorted(dict(value).items()))
+        return tuple((str(k), v) for k, v in value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be a table of KEY = VALUE, "
                          f"got {type(value).__name__}") from None

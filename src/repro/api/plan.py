@@ -86,6 +86,7 @@ _RESERVED_SCENARIO_PARAMS = ("level", "scale", "gamma", "seed",
 _EXECUTION_KEYS = ("trials", "base_seed", "n_jobs", "incremental", "scoring",
                    "with_cost", "confidence")
 
+
 class PlanError(ValueError):
     """Raised when a plan (or plan file) fails validation."""
 
