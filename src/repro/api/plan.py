@@ -885,7 +885,7 @@ class ExperimentPlan:
                     f"spool {spool_path!r} was written by a different plan "
                     f"(fingerprint {preparsed[0]['fingerprint']} != "
                     f"{self.fingerprint()})")
-            completed = self._restore_trials(preparsed[1])
+            completed = self._restore_trials(spool_path, preparsed[1])
         sinks: List[ResultSink] = [JsonlSpoolSink(spool_path,
                                                   preparsed=preparsed)]
         if sink is not None:
@@ -920,7 +920,8 @@ class ExperimentPlan:
                 f"{header['fingerprint']}")
         return plan
 
-    def _restore_trials(self, cells: Mapping[int, List[Dict[str, Any]]]
+    def _restore_trials(self, spool_path: str,
+                        cells: Mapping[int, List[Dict[str, Any]]]
                         ) -> Dict[int, List[Any]]:
         """Complete spooled cells as reconstructed TrialMetrics.
 
@@ -934,8 +935,17 @@ class ExperimentPlan:
             if not 0 <= index < n:
                 raise SpoolError(f"spool cell index {index} is outside the "
                                  f"plan's {n}-cell grid")
-            if len(trials) == self.trials:
+            if len(trials) != self.trials:
+                continue
+            where = f"spool {spool_path!r} cell {index}"
+            try:
                 restored[index] = [trial_metrics_from_dict(t) for t in trials]
+            except KeyError as exc:
+                raise SpoolError(f"{where}: a trial payload has no key "
+                                 f"{exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise SpoolError(f"{where}: malformed trial payload "
+                                 f"({exc})") from None
         return restored
 
 

@@ -160,12 +160,25 @@ class JsonlSpoolSink(ResultSink):
         self._handle.flush()
 
 
+def _spool_field(record: Dict[str, Any], key: str, kind: type, noun: str,
+                 where: str) -> Any:
+    """``record[key]`` if it is a ``kind`` (bools are not ints), else raise."""
+    if key not in record:
+        raise SpoolError(f"{where} has no {key!r}")
+    value = record[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SpoolError(f"{where}: {key!r} must be {noun}, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 def read_spool(path: str) -> Tuple[Dict[str, Any],
                                    Dict[int, List[Dict[str, Any]]]]:
     """Parse a spool file into (header, {cell index -> trial payloads}).
 
     Truncated trailing lines (an interrupt mid-write) are ignored; duplicate
-    cell indices keep the last record.
+    cell indices keep the last record.  Any other malformed line raises
+    :class:`SpoolError` naming the line and the bad key or type.
     """
     if not os.path.exists(path):
         raise SpoolError(f"spool file {path!r} does not exist")
@@ -184,6 +197,10 @@ def read_spool(path: str) -> Tuple[Dict[str, Any],
                         f"{path!r} is not a plan spool (line {lineno} is "
                         f"not JSON)") from None
                 continue  # truncated trailing line from an interrupt
+            where = f"spool {path!r} line {lineno}"
+            if not isinstance(record, dict):
+                raise SpoolError(f"{where} is a JSON "
+                                 f"{type(record).__name__}, not an object")
             if header is None:
                 if record.get("kind") != SPOOL_KIND:
                     raise SpoolError(
@@ -194,9 +211,20 @@ def read_spool(path: str) -> Tuple[Dict[str, Any],
                         f"spool {path!r} has version "
                         f"{record.get('version')!r}; this build reads "
                         f"version {SPOOL_VERSION}")
+                _spool_field(record, "fingerprint", str, "a string", where)
+                _spool_field(record, "plan", dict, "a table", where)
                 header = record
             elif record.get("kind") == "cell":
-                cells[int(record["index"])] = record["trials"]
+                index = _spool_field(record, "index", int, "an integer",
+                                     where)
+                trials = _spool_field(record, "trials", list,
+                                      "a list of trial objects", where)
+                for trial in trials:
+                    if not isinstance(trial, dict):
+                        raise SpoolError(
+                            f"{where}: 'trials' must be a list of trial "
+                            f"objects, one is {type(trial).__name__}")
+                cells[index] = trials
     if header is None:
         raise SpoolError(f"spool {path!r} is empty")
     return header, cells

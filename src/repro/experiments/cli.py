@@ -70,23 +70,12 @@ the generic runner and the declarative plan workflow:
       python -m repro check --json --select determinism
       python -m repro list-rules --ignore untyped-public-api
 
-* ``bench`` runs a perf suite: ``--suite core`` times the simulation
-  core's incremental machinery against the naive recomputation on pinned
-  oversubscribed scenarios, plus the vectorised score-plane backend
-  against the reference loop on the pinned mapping cases (optionally
-  gating on a committed baseline via ``--baseline``/``--max-regression``
-  with per-case detection via ``--max-regression-case``, softened by
-  ``--warn-only``); ``--suite sweep`` times the persistent-pool sweep
-  executor and records multi-process throughput; ``--suite crossover``
-  measures the vector-vs-loop small-plane threshold on this platform
-  (the measured ``SystemConfig.small_plane_tasks`` override); ``--trend``
-  renders the committed payload's speedup history across git commits as
-  an ASCII chart::
+* ``bench`` measures the plane width below which the per-pair loop path
+  beats the vector score-plane kernels on this host (the measured
+  ``SystemConfig.small_plane_tasks`` override); end-to-end timing lives
+  in the repository benchmark, ``python3 -m benchmarks.e2e``::
 
-      python -m repro bench --suite core --scale 0.05 --trials 2 \
-          --output benchmarks/perf/BENCH_core.json
-      python -m repro bench --baseline benchmarks/perf/BENCH_core.json
-      python -m repro bench --trend
+      python -m repro bench --scale 0.02 --trials 2 --output crossover.json
 """
 
 from __future__ import annotations
@@ -318,63 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
                                   "prints TOML to stdout when omitted")
 
     bench = commands.add_parser(
-        "bench", help="run a perf benchmark suite (core: naive vs "
-                      "incremental scheduler views; sweep: persistent-pool "
-                      "sweep executor) and optionally write its JSON payload")
-    bench.add_argument("--suite", default="core",
-                       choices=["core", "sweep", "crossover"],
-                       help="benchmark suite to run (default: core; "
-                            "crossover measures the vector-vs-loop "
-                            "small-plane threshold on this platform)")
-    bench.add_argument("--scale", type=float, default=None,
-                       help="fraction of the paper's task counts (default "
-                            "0.05 for core, 0.02 for sweep)")
+        "bench", help="measure the vector-vs-loop small-plane crossover "
+                      "(the SystemConfig.small_plane_tasks override) on this "
+                      "host; end-to-end timing lives in benchmarks/e2e")
+    bench.add_argument("--scale", type=float, default=0.02,
+                       help="fraction of the paper's task counts "
+                            "(default 0.02)")
     bench.add_argument("--trials", type=int, default=2,
-                       help="trials per benchmark case / grid cell "
-                            "(default 2)")
+                       help="trials per plane width (default 2)")
     bench.add_argument("--repeats", type=int, default=1,
-                       help="timed repetitions per (case, seed, side); the "
-                            "minimum is recorded (core suite; use 3 for "
-                            "committed payloads, default 1)")
+                       help="timed repetitions per (width, seed, side); the "
+                            "minimum is recorded (default 1)")
     bench.add_argument("--seed", type=int, default=42,
                        help="base random seed (default 42)")
-    bench.add_argument("--jobs", type=int, default=2,
-                       help="worker processes of the sweep suite (default 2)")
-    bench.add_argument("--case", nargs="+", default=None, metavar="NAME",
-                       help="subset of benchmark case names to run "
-                            "(core suite only)")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="compare the fresh core payload against a "
-                            "committed BENCH_core.json and fail on "
-                            "regression (see --max-regression/--warn-only)")
-    bench.add_argument("--max-regression", type=float, default=10.0,
-                       metavar="PCT",
-                       help="allowed geomean-speedup regression vs the "
-                            "baseline, in percent (default 10)")
-    bench.add_argument("--max-regression-case", type=float, default=25.0,
-                       metavar="PCT",
-                       help="allowed per-case speedup regression vs the "
-                            "baseline, in percent (default 25; cases are "
-                            "noisier than the geomean); offending cases "
-                            "are listed in the exit-3 report")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report a baseline regression without failing "
-                            "(exit code stays 0)")
     bench.add_argument("--output", default=None, metavar="PATH",
-                       help="write the JSON payload to PATH "
-                            "(e.g. benchmarks/perf/BENCH_core.json)")
+                       help="write the JSON payload to PATH")
     bench.add_argument("--json", action="store_true",
                        help="print the payload as JSON instead of a table")
-    bench.add_argument("--trend", action="store_true",
-                       help="instead of running a suite, chart the committed "
-                            "payload's speedup history across git commits")
-    bench.add_argument("--trend-path", default="benchmarks/perf/BENCH_core.json",
-                       metavar="PATH",
-                       help="committed payload whose history is charted "
-                            "(default benchmarks/perf/BENCH_core.json)")
-    bench.add_argument("--trend-limit", type=int, default=None, metavar="N",
-                       help="chart only the last N commits touching the "
-                            "payload (default: all)")
 
     serve = commands.add_parser(
         "serve", help="run the streaming service mode: live traffic into an "
@@ -698,64 +647,20 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` subcommand: core or sweep perf suite."""
+    """The ``bench`` subcommand: the small-plane crossover measurement."""
     import json as _json
 
-    from .bench import (bench_history, compare_to_baseline,
-                        format_baseline_comparison, format_bench_table,
-                        format_bench_trend, format_crossover_table,
-                        format_sweep_table, run_crossover_benchmark,
-                        run_perf_benchmark, run_sweep_benchmark,
+    from .bench import (format_crossover_table, run_crossover_benchmark,
                         write_bench_json)
 
-    if args.trend:
-        history = bench_history(args.trend_path, limit=args.trend_limit)
-        print(format_bench_trend(history))
-        return 0
-    if args.suite == "sweep":
-        if args.baseline:
-            raise ValueError("--baseline applies to the core suite only")
-        if args.case:
-            raise ValueError("--case applies to the core suite only")
-        payload = run_sweep_benchmark(
-            scale=args.scale if args.scale is not None else 0.02,
-            trials=args.trials, n_jobs=args.jobs, base_seed=args.seed)
-        formatted = format_sweep_table(payload)
-    elif args.suite == "crossover":
-        if args.baseline:
-            raise ValueError("--baseline applies to the core suite only")
-        if args.case:
-            raise ValueError("--case applies to the core suite only")
-        payload = run_crossover_benchmark(
-            scale=args.scale if args.scale is not None else 0.02,
-            trials=args.trials, base_seed=args.seed, repeats=args.repeats)
-        formatted = format_crossover_table(payload)
-    else:
-        if args.baseline and args.case:
-            # A case subset's geomean is not comparable to the committed
-            # full-suite baseline geomean; comparing them would report
-            # phantom regressions (or mask real ones).
-            raise ValueError("--baseline compares the full-suite geomean; "
-                             "run it without --case")
-        payload = run_perf_benchmark(
-            scale=args.scale if args.scale is not None else 0.05,
-            trials=args.trials, base_seed=args.seed, names=args.case,
-            repeats=args.repeats)
-        formatted = format_bench_table(payload)
+    payload = run_crossover_benchmark(scale=args.scale, trials=args.trials,
+                                      base_seed=args.seed,
+                                      repeats=args.repeats)
     print(_json.dumps(payload, indent=2, sort_keys=True) if args.json
-          else formatted)
+          else format_crossover_table(payload))
     if args.output:
         write_bench_json(payload, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        comparison = compare_to_baseline(
-            payload, baseline, max_regression=args.max_regression / 100.0,
-            max_regression_case=args.max_regression_case / 100.0)
-        print(format_baseline_comparison(comparison), file=sys.stderr)
-        if comparison["regressed"] and not args.warn_only:
-            return 3
     return 0
 
 

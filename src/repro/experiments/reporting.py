@@ -19,7 +19,7 @@ def format_aligned_table(headers: Sequence[str],
                          rows: Sequence[Sequence[str]]) -> str:
     """Render string rows as an aligned table with a dashed separator.
 
-    Shared by the sweep-result tables and the perf-benchmark report so the
+    Shared by the sweep-result tables and the crossover report so the
     column layout stays consistent everywhere.
     """
     widths = [max(len(h), *(len(r[i]) for r in rows)) + 2 if rows else len(h) + 2

@@ -96,8 +96,8 @@ class TrialSpec:
     incremental:
         Forwarded to :class:`~repro.sim.system.SystemConfig`: enables the
         simulation core's incremental completion-PMF caches (default) or
-        forces the naive full recomputation (used by the equivalence tests
-        and the ``repro bench`` harness).
+        forces the naive full recomputation (used by the equivalence
+        tests).
     scoring:
         Forwarded to :class:`~repro.sim.system.SystemConfig`: score-plane
         backend of the two-phase mapping heuristics (``"vector"`` batched
@@ -106,7 +106,7 @@ class TrialSpec:
         Override of the vector backend's small-plane fallback threshold
         (``None`` keeps the measured default,
         :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).  Used by the
-        ``repro bench --suite crossover`` micro-benchmark to force one
+        ``repro bench`` crossover measurement to force one
         backend or the other at a pinned plane width.
     numerics / uncertainty_name / uncertainty_params / faults_name /
     fault_params / topology_name / topology_params:

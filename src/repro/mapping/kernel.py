@@ -159,9 +159,9 @@ def _tiebreak_scalar(name: str, ctx: MappingContext, machine: MachineState,
 #: Window sizes below this have no plane width worth vectorising: the
 #: vector engine dispatches them to the scalar loop (identical results;
 #: NumPy per-round overhead would dominate a narrow "plane").  The default
-#: is the *measured* vector-vs-loop crossover: ``repro bench --suite
-#: crossover`` times both backends over a sweep of forced window sizes on
-#: the current platform, and on the reference machine (min-of-2 timings,
+#: is the *measured* vector-vs-loop crossover: ``repro bench`` times both
+#: backends over a sweep of forced window sizes on the current platform,
+#: and on the reference machine (min-of-2 timings,
 #: widths 1-14) the loop wins clearly up to ~9-task planes, the ratio
 #: crosses 1.0 around 10-13 (within run-to-run noise), and the vector
 #: engine wins from there up.  Override per run via

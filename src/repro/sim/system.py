@@ -96,7 +96,7 @@ class SystemConfig:
         Override of the vector backend's small-plane dispatch threshold
         (``None`` keeps the measured platform default,
         :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`; measure your own
-        crossover with ``repro bench --suite crossover``).
+        crossover with ``repro bench``).
     """
 
     queue_capacity: int = 6
@@ -797,7 +797,7 @@ class HCSystem:
                                 tail_source=lambda: self._tail_pmf(machine, now))
         # The naive path keeps the paper-literal behaviour -- every scheduler
         # view is built at every mapping event -- so it stays a stable
-        # recompute-everything reference for the benchmark harness.
+        # recompute-everything reference for the equivalence tests.
         return MachineState(machine_id=machine.id, type_id=machine.type_id,
                             free_slots=machine.free_slots,
                             tail_pmf=self._tail_pmf(machine, now))

@@ -221,27 +221,29 @@ class TestBenchCommand:
     def test_bench_parses(self):
         parser = build_parser()
         args = parser.parse_args(["bench", "--scale", "0.01", "--trials", "1",
-                                  "--case", "spec-30k-PAM-react",
+                                  "--repeats", "3", "--seed", "7", "--json",
                                   "--output", "out.json"])
         assert args.figure == "bench"
-        assert args.case == ["spec-30k-PAM-react"]
+        assert (args.scale, args.trials, args.repeats, args.seed) == \
+            (0.01, 1, 3, 7)
+        assert args.json is True
         assert args.output == "out.json"
 
     def test_bench_runs_and_writes_json(self, capsys, tmp_path):
         import json
 
-        out = tmp_path / "BENCH_core.json"
+        out = tmp_path / "crossover.json"
         exit_code = main(["bench", "--scale", "0.002", "--trials", "1",
-                          "--case", "spec-30k-PAM-react",
                           "--output", str(out)])
         assert exit_code == 0
         captured = capsys.readouterr()
-        assert "geomean speedup" in captured.out
+        assert "measured small-plane threshold" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "core"
-        assert payload["scenarios"][0]["metrics_equal"] is True
+        assert payload["benchmark"] == "crossover"
+        assert [w["tasks"] for w in payload["widths"]] == list(range(1, 9))
 
-    def test_bench_unknown_case_clean_error(self, capsys):
-        assert main(["bench", "--case", "nope"]) == 2
+    def test_bench_zero_repeats_clean_error(self, capsys):
+        assert main(["bench", "--scale", "0.002", "--trials", "1",
+                     "--repeats", "0"]) == 2
         err = capsys.readouterr().err
-        assert "unknown benchmark case" in err and "Traceback" not in err
+        assert "need at least one repeat" in err and "Traceback" not in err

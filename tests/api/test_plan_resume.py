@@ -1,6 +1,7 @@
 """Resume semantics: a killed sweep resumed from its spool is bit-identical."""
 
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,37 @@ def test_missing_and_malformed_spools_rejected(plan, tmp_path):
     bad.write_text("not json\n")
     with pytest.raises(SpoolError):
         plan.resume(str(bad))
+
+    # Valid JSON of the wrong shape names the line or cell and the bad key
+    # or type instead of escaping as an AttributeError/KeyError/TypeError.
+    good = tmp_path / "good.jsonl"
+    plan.run_spooled(str(good), max_cells=1)
+    header, cell = good.read_text(encoding="utf-8").splitlines()
+    record = json.loads(cell)
+    trials = record["trials"]
+
+    def edited(**changes):
+        return json.dumps({**record, **changes})
+
+    no_trials = {k: v for k, v in record.items() if k != "trials"}
+    cases = [
+        (["[1]", cell], "line 1 is a JSON list, not an object"),
+        ([header, cell, "[1,2,3]"], "line 3 is a JSON list, not an object"),
+        ([header, json.dumps(no_trials)], "line 2 has no 'trials'"),
+        ([header, edited(trials=5)],
+         "line 2: 'trials' must be a list of trial objects, got int"),
+        ([header, edited(trials=[5] * len(trials))],
+         "line 2: 'trials' must be a list of trial objects, one is int"),
+        ([header, edited(index="0")],
+         "line 2: 'index' must be an integer, got str"),
+        ([header, edited(trials=[{}] * len(trials))],
+         "cell 0: a trial payload has no key 'robustness'"),
+    ]
+    for lines, message in cases:
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SpoolError,
+                           match=re.escape(f"{str(bad)!r} {message}")):
+            plan.resume(str(bad))
 
 
 def test_truncated_trailing_line_ignored(plan, tmp_path):

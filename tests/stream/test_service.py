@@ -119,6 +119,25 @@ class TestChunkInvariance:
         assert comparable(c) != comparable(a)
 
 
+class TestIncrementalEquivalence:
+    def test_incremental_matches_naive_and_folds_less(self):
+        # The service drives the same scheduler views as a batch trial, so
+        # the incremental caches must reproduce the naive recomputation
+        # bit for bit while folding fewer chains.
+        services = []
+        for incremental in (False, True):
+            service = StreamingSimulation(StreamSpec(
+                scenario_name="spec", traffic_name="steady", seed=42,
+                mapper_name="PAM", dropper_name="heuristic",
+                incremental=incremental))
+            service.run_until(round(30_000 * 0.002 / service.arrival_rate))
+            services.append(service)
+        naive, incremental = services
+        assert comparable(incremental) == comparable(naive)
+        assert (incremental.system.perf.pmf_folds
+                < naive.system.perf.pmf_folds)
+
+
 class TestUncertaintyInStream:
     def test_uncertainty_changes_outcomes(self):
         base = StreamingSimulation(StreamSpec(seed=2)).run_until(3_000)
