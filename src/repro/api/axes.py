@@ -24,6 +24,7 @@ with :mod:`repro.api.registries` (which imports the stream package).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
@@ -34,11 +35,14 @@ from ..sim.system import HCSystem, SystemConfig
 from ..sim.trace import Trace
 
 __all__ = ["Axis", "AXES", "AXES_BY_KEY", "REGISTRY_AXES", "Params",
-           "freeze_params", "active_axes", "axis_payload", "spec_kwargs",
-           "build_system"]
+           "SCALARS", "freeze_params", "check_scalar", "active_axes",
+           "axis_payload", "spec_kwargs", "build_system"]
 
 #: Keyword parameters as a hashable tuple of ``(key, value)`` pairs.
 Params = Tuple[Tuple[str, Any], ...]
+
+#: Field annotations :func:`check_scalar` checks.
+SCALARS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,21 @@ def freeze_params(value: Any, key: str) -> Params:
                          f"got {type(value).__name__}") from None
 
 
+def check_scalar(value: Any, kind: str, key: str) -> Any:
+    """``value`` as a scalar of annotation ``kind`` (a :data:`SCALARS`
+    key), else a ``ValueError`` naming ``key``.  A bool is never a number
+    and a float never an integer, so ``trials = 2.7`` fails, not truncates.
+    """
+    if kind == "bool":
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, SCALARS[kind]):
+        noun = "an integer" if kind == "int" else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}")
+    return int(value) if kind == "int" else float(value)
+
+
 def active_axes(plan: Any) -> Iterator[Tuple[Axis, str, Params]]:
     """``(axis, value, params)`` of every axis ``plan`` sets off its
     identity, read from plan-keyed fields."""
@@ -169,9 +188,11 @@ def build_system(scenario: Any, spec: Any, rng: np.random.Generator,
 
     config = SystemConfig(
         queue_capacity=spec.queue_capacity, batch_window=spec.batch_window,
-        incremental=spec.incremental, scoring=spec.scoring,
         numerics=spec.numerics,
-        # Only TrialSpec carries the benchmark's plane-width override.
+        # Only TrialSpec carries the engine switches (the bit-identity
+        # referees); any other spec runs the default engine.
+        incremental=getattr(spec, "incremental", True),
+        scoring=getattr(spec, "scoring", "vector"),
         small_plane_tasks=getattr(spec, "small_plane_tasks", None))
     models = {axis.plan_key: axis.create(getattr(spec, axis.spec_field),
                                          getattr(spec, str(axis.params_key)))

@@ -77,8 +77,6 @@ class Simulation:
     n_jobs: int = 1
     cost_enabled: bool = False
     confidence_value: float = 0.95
-    incremental_enabled: bool = True
-    scoring_backend: str = "vector"
     numerics_profile: str = "exact"
     uncertainty_name: str = "none"
     uncertainty_params: Tuple[Tuple[str, Any], ...] = ()
@@ -256,29 +254,6 @@ class Simulation:
         """Attach a cost report to every trial's metrics."""
         return replace(self, cost_enabled=bool(enabled))
 
-    def incremental(self, enabled: bool = True) -> "Simulation":
-        """Toggle the simulation core's incremental completion-PMF caches.
-
-        On by default; the cached path is bit-for-bit equivalent to the
-        naive recomputation (reuse is gated on identical inputs), so
-        disabling it only serves equivalence testing and benchmarking.
-        """
-        return replace(self, incremental_enabled=bool(enabled))
-
-    def scoring(self, backend: str = "vector") -> "Simulation":
-        """Select the two-phase score-plane backend (``"loop"``/``"vector"``).
-
-        ``"vector"`` (default) evaluates each mapping round's
-        (task x machine) score plane through the batched NumPy engine;
-        ``"loop"`` keeps the per-pair reference loop.  Assignments -- and
-        therefore all metrics -- are identical either way (the vector
-        backend's tie-break columns reproduce the loop's pick order
-        bit-for-bit), so like :meth:`incremental` this is a performance
-        switch kept switchable for equivalence testing and benchmarking.
-        """
-        SystemConfig(scoring=backend)
-        return replace(self, scoring_backend=backend)
-
     def numerics(self, profile: str = "exact") -> "Simulation":
         """Select the mapping-score arithmetic profile (``"exact"``/``"fast"``).
 
@@ -289,10 +264,10 @@ class Simulation:
         scores from batched FFT folds, trading float ordering for speed
         within a documented sup-norm tolerance
         (:data:`repro.core.completion.FAST_FOLD_SUP_NORM_TOL`); committed
-        completion PMFs stay exact.  Unlike :meth:`incremental` /
-        :meth:`scoring` this *is* a (tolerance-bounded) semantic switch,
-        so it is serialised on plans whenever it is not ``"exact"``.
-        Requires the incremental core (``incremental=True``).
+        completion PMFs stay exact.  Unlike the engine switches of
+        :class:`~repro.experiments.runner.TrialSpec` (``incremental``,
+        ``scoring``) this *is* a (tolerance-bounded) semantic switch, so it
+        is serialised on plans whenever it is not ``"exact"``.
         """
         SystemConfig(numerics=profile)
         return replace(self, numerics_profile=profile)
@@ -395,8 +370,6 @@ class Simulation:
             batch_window=self.batch_window_value,
             confidence=self.confidence_value,
             with_cost=self.cost_enabled,
-            incremental=self.incremental_enabled,
-            scoring=self.scoring_backend,
             numerics=self.numerics_profile,
             n_jobs=self.n_jobs,
             sweep_axes=tuple(names),

@@ -47,7 +47,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Set, Tuple, Union)
 
@@ -58,8 +58,8 @@ if TYPE_CHECKING:
 from ..metrics.collector import aggregate_trials, trial_metrics_from_dict
 from ..sim.system import SystemConfig
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
-from .axes import (AXES, REGISTRY_AXES, active_axes, axis_payload,
-                   freeze_params, spec_kwargs)
+from .axes import (AXES, REGISTRY_AXES, SCALARS, active_axes, axis_payload,
+                   check_scalar, freeze_params, spec_kwargs)
 from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
 from .results import METRICS, RunResult, SweepResult
 from .sinks import (CallbackSink, JsonlSpoolSink, ResultSink, SpoolError,
@@ -81,14 +81,35 @@ PLAN_AXES: Tuple[str, ...] = ("scenario", "arrival", "level", "mapper",
 _RESERVED_SCENARIO_PARAMS = ("level", "scale", "gamma", "seed",
                              "queue_capacity")
 
+#: ``[workload]`` keys.
+_WORKLOAD_KEYS = ("scenarios", "arrivals", "levels", "scales", "gammas",
+                  "queue_capacity", "batch_window")
+
 #: ``[execution]`` keys besides the optional axes of
 #: :data:`repro.api.axes.AXES`.
-_EXECUTION_KEYS = ("trials", "base_seed", "n_jobs", "incremental", "scoring",
-                   "with_cost", "confidence")
+_EXECUTION_KEYS = ("trials", "base_seed", "n_jobs", "with_cost", "confidence")
+
+#: Engine switches older plans carried; they never changed results, so
+#: they are read and dropped.
+_LEGACY_EXECUTION_KEYS = ("incremental", "scoring")
+
+#: ``[execution]`` keys that never change results, left out of the
+#: fingerprint.
+_UNFINGERPRINTED = ("n_jobs", "confidence")
 
 
 class PlanError(ValueError):
     """Raised when a plan (or plan file) fails validation."""
+
+
+def _digest(payload: Mapping[str, Any], unhashed: Sequence[str]) -> str:
+    """16 hex digits of sha256 over ``payload``'s sorted-key JSON, without
+    its ``unhashed`` ``[execution]`` keys."""
+    execution = dict(payload.get("execution", {}))
+    canonical = json.dumps({**payload, "execution": {
+        k: v for k, v in execution.items() if k not in unhashed}},
+        sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
@@ -251,8 +272,6 @@ class ExperimentPlan:
     batch_window: int = 32
     confidence: float = 0.95
     with_cost: bool = False
-    incremental: bool = True
-    scoring: str = "vector"
     #: The optional axes (rows of :data:`repro.api.axes.AXES`): the
     #: mapping-score arithmetic profile ("exact"/"fast"), the
     #: unmodelled-delay injector, the timeline fault process and the
@@ -301,24 +320,22 @@ class ExperimentPlan:
             for pair in (PairSpec.coerce(p, "pair")
                          for p in self._as_list(self.pairs, "pairs",
                                                 allow_empty=True))))
-        set_(self, "scales", tuple(
-            float(s) for s in self._as_list(self.scales, "scales")))
-        set_(self, "gammas", tuple(
-            float(g) for g in self._as_list(self.gammas, "gammas")))
         set_(self, "metrics", tuple(
             str(m) for m in self._as_list(self.metrics, "metrics")))
         set_(self, "sweep_axes", tuple(
             str(a) for a in self._as_list(self.sweep_axes, "sweep_axes",
                                           allow_empty=True)))
-        set_(self, "trials", int(self.trials))
-        set_(self, "base_seed", int(self.base_seed))
-        set_(self, "queue_capacity", int(self.queue_capacity))
-        set_(self, "batch_window", int(self.batch_window))
-        set_(self, "confidence", float(self.confidence))
-        set_(self, "with_cost", bool(self.with_cost))
-        set_(self, "incremental", bool(self.incremental))
-        set_(self, "scoring", str(self.scoring))
         try:
+            for key in ("scales", "gammas"):
+                set_(self, key, tuple(
+                    check_scalar(value, "float", f"workload.{key}")
+                    for value in self._as_list(getattr(self, key), key)))
+            for f in fields(self):
+                if f.type in SCALARS:
+                    where = ("workload" if f.name in _WORKLOAD_KEYS
+                             else "execution")
+                    set_(self, f.name, check_scalar(
+                        getattr(self, f.name), f.type, f"{where}.{f.name}"))
             for axis in AXES:
                 set_(self, axis.plan_key, str(getattr(self, axis.plan_key)))
                 if axis.params_key:
@@ -326,7 +343,6 @@ class ExperimentPlan:
                         getattr(self, axis.params_key), axis.params_key))
         except ValueError as exc:
             raise PlanError(str(exc)) from None
-        set_(self, "n_jobs", int(self.n_jobs))
         self._validate()
 
     @staticmethod
@@ -389,8 +405,7 @@ class ExperimentPlan:
         if not 0.0 < self.confidence < 1.0:
             raise PlanError("confidence must be in (0, 1)")
         try:
-            SystemConfig(incremental=self.incremental, scoring=self.scoring,
-                         numerics=self.numerics)
+            SystemConfig(numerics=self.numerics)
             for axis in REGISTRY_AXES:
                 axis.validate(getattr(self, axis.plan_key),
                               getattr(self, str(axis.params_key)))
@@ -481,9 +496,7 @@ class ExperimentPlan:
                                         mapper_params=mapper.params,
                                         scenario_params=frozen_scenario_params,
                                         batch_window=self.batch_window,
-                                        with_cost=self.with_cost,
-                                        incremental=self.incremental,
-                                        scoring=self.scoring, **axes)
+                                        with_cost=self.with_cost, **axes)
                                     for k in range(self.trials))
                                 axis_values = (
                                     ("scenario", scenario.name),
@@ -553,10 +566,6 @@ class ExperimentPlan:
         }
         if arrival is not None:
             config["arrival"] = arrival
-        if not self.incremental:
-            config["incremental"] = False
-        if self.scoring != "vector":
-            config["scoring"] = self.scoring
         config.update(axis_payload(self))
         if mapper.params:
             config["mapper_params"] = dict(mapper.params)
@@ -591,8 +600,6 @@ class ExperimentPlan:
             "trials": self.trials,
             "base_seed": self.base_seed,
             "n_jobs": self.n_jobs,
-            "incremental": self.incremental,
-            "scoring": self.scoring,
             "with_cost": self.with_cost,
             "confidence": self.confidence,
         }
@@ -614,6 +621,8 @@ class ExperimentPlan:
 
         Unknown keys raise :class:`PlanError` with did-you-mean hints;
         unknown registry names surface the registries' own suggestions.
+        The legacy ``[execution]`` keys ``incremental``/``scoring`` are
+        read and dropped.
         """
         if not isinstance(payload, Mapping):
             raise PlanError(f"plan payload must be a mapping, "
@@ -621,16 +630,15 @@ class ExperimentPlan:
         _check_keys(payload, ("name", "metrics", "workload", "grid",
                               "execution", "sweep_axes"), "plan")
         workload = payload.get("workload", {})
-        _check_keys(workload, ("scenarios", "arrivals", "levels", "scales",
-                               "gammas", "queue_capacity", "batch_window"),
-                    "plan workload")
+        _check_keys(workload, _WORKLOAD_KEYS, "plan workload")
         grid = payload.get("grid", {})
         _check_keys(grid, ("mappers", "droppers", "pairs"), "plan grid")
         execution = payload.get("execution", {})
         execution_keys = _EXECUTION_KEYS + tuple(
             key for axis in AXES
             for key in (axis.plan_key, axis.params_key) if key)
-        _check_keys(execution, execution_keys, "plan execution")
+        _check_keys(execution, execution_keys + _LEGACY_EXECUTION_KEYS,
+                    "plan execution")
         if "pairs" in grid and ("mappers" in grid or "droppers" in grid):
             raise PlanError("plan grid takes either 'pairs' or "
                             "'mappers'/'droppers', not both")
@@ -641,13 +649,9 @@ class ExperimentPlan:
             kwargs["metrics"] = payload["metrics"]
         if "sweep_axes" in payload:
             kwargs["sweep_axes"] = payload["sweep_axes"]
-        for key in ("scenarios", "arrivals", "levels", "scales", "gammas"):
+        for key in _WORKLOAD_KEYS:
             if key in workload:
                 kwargs[key] = workload[key]
-        for src, dst in (("queue_capacity", "queue_capacity"),
-                         ("batch_window", "batch_window")):
-            if src in workload:
-                kwargs[dst] = workload[src]
         for key in ("mappers", "droppers", "pairs"):
             if key in grid:
                 kwargs[key] = grid[key]
@@ -672,28 +676,17 @@ class ExperimentPlan:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentPlan":
         """Load a plan from a ``.json`` or ``.toml`` file."""
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        if str(path).endswith(".toml"):
-            payload = _loads_toml(text)
-        else:
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise PlanError(f"{path!r} is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(_load_file(path))
 
     def fingerprint(self) -> str:
         """Stable identity of the experiment a plan describes.
 
-        Execution-only knobs (``n_jobs``) are excluded: running a plan with
-        a different worker count produces the same results, so it must
-        resume the same spool.
+        Knobs that do not change results (``n_jobs``, ``confidence``) are
+        excluded: a plan run with another worker count or summarised at
+        another interval level produces the same trials, so it must resume
+        the same spool.
         """
-        payload = self.to_dict()
-        payload["execution"].pop("n_jobs", None)
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return _digest(self.to_dict(), _UNFINGERPRINTED)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -728,8 +721,7 @@ class ExperimentPlan:
                                     * max(len(self.arrivals), 1)
                                     * len(self.grid_pairs) * self.trials)
         lines.append(f"  workload: ~{total_tasks} simulated tasks total")
-        lines.append(f"  engine  : incremental={self.incremental} "
-                     f"scoring={self.scoring} numerics={self.numerics} "
+        lines.append(f"  engine  : numerics={self.numerics} "
                      f"n_jobs={self.n_jobs} with_cost={self.with_cost}")
         for axis, value, params in active_axes(self):
             if axis.registry:
@@ -880,11 +872,7 @@ class ExperimentPlan:
         if (os.path.exists(spool_path)
                 and os.path.getsize(spool_path) > 0):
             preparsed = read_spool(spool_path)
-            if preparsed[0]["fingerprint"] != self.fingerprint():
-                raise SpoolError(
-                    f"spool {spool_path!r} was written by a different plan "
-                    f"(fingerprint {preparsed[0]['fingerprint']} != "
-                    f"{self.fingerprint()})")
+            self.verify_spool_header(spool_path, preparsed[0])
             completed = self._restore_trials(spool_path, preparsed[1])
         sinks: List[ResultSink] = [JsonlSpoolSink(spool_path,
                                                   preparsed=preparsed)]
@@ -913,12 +901,29 @@ class ExperimentPlan:
         """Recover the plan pinned in a spool's header line."""
         header, _ = read_spool(spool_path)
         plan = cls.from_dict(header["plan"])
-        if plan.fingerprint() != header["fingerprint"]:
+        plan.verify_spool_header(spool_path, header)
+        return plan
+
+    def verify_spool_header(self, spool_path: str,
+                            header: Mapping[str, Any]) -> None:
+        """Raise :class:`SpoolError` unless the spool with this parsed
+        ``header`` pins a plan with this plan's fingerprint.
+
+        The header's stored fingerprint must be its plan's, as computed now
+        or as older builds stamped it (the stored plan JSON hashed without
+        ``execution.n_jobs``), so spools written before ``confidence`` and
+        the engine switches left the fingerprint still resume.
+        """
+        pinned = ExperimentPlan.from_dict(header["plan"]).fingerprint()
+        stamped = header["fingerprint"]
+        if stamped not in (pinned, _digest(header["plan"], ("n_jobs",))):
             raise SpoolError(
                 f"spool {spool_path!r} header is internally inconsistent: "
-                f"its plan hashes to {plan.fingerprint()}, header says "
-                f"{header['fingerprint']}")
-        return plan
+                f"its plan hashes to {pinned}, header says {stamped}")
+        if pinned != self.fingerprint():
+            raise SpoolError(
+                f"spool {spool_path!r} was written by a different plan "
+                f"(fingerprint {pinned} != {self.fingerprint()})")
 
     def _restore_trials(self, spool_path: str,
                         cells: Mapping[int, List[Dict[str, Any]]]
@@ -1030,7 +1035,15 @@ def _dumps_toml(payload: Mapping[str, Any]) -> str:
     return "\n".join(lines).lstrip("\n") + "\n"
 
 
-def _loads_toml(text: str) -> Dict[str, Any]:
+def _load_file(path: str) -> Any:
+    """The payload of a ``.toml`` or ``.json`` plan file."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if not str(path).endswith(".toml"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PlanError(f"{path!r} is not valid JSON: {exc}") from None
     try:
         import tomllib
     except ImportError:  # pragma: no cover - Python < 3.11

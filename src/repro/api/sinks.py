@@ -94,8 +94,9 @@ class JsonlSpoolSink(ResultSink):
     The first line of a spool is a header pinning the plan (its full
     ``to_dict`` payload plus fingerprint); each subsequent line records one
     completed cell with the lossless per-trial metric payloads.  Opening the
-    sink against an existing spool validates the header fingerprint against
-    the executing plan and then *appends*, skipping cells the spool already
+    sink against an existing spool checks its header against the executing
+    plan (:meth:`~repro.api.plan.ExperimentPlan.verify_spool_header`) and
+    then *appends*, skipping cells the spool already
     holds -- so interrupting and resuming a sweep grows one file that always
     contains each completed cell exactly once.
     """
@@ -115,11 +116,7 @@ class JsonlSpoolSink(ResultSink):
         if not fresh:
             header, cells = (self._preparsed if self._preparsed is not None
                              else read_spool(self.path))
-            if header["fingerprint"] != plan.fingerprint():
-                raise SpoolError(
-                    f"spool {self.path!r} was written by a different plan "
-                    f"(fingerprint {header['fingerprint']} != "
-                    f"{plan.fingerprint()}); refusing to append")
+            plan.verify_spool_header(self.path, header)
             # Only *complete* cells count as done: a short cell (fewer
             # trials than the plan demands) is re-executed by the resume
             # path, and its fresh result must overwrite the stale record

@@ -87,7 +87,7 @@ def run_crossover_benchmark(scale: float = 0.02, trials: int = 2,
             base = dict(scenario_name="spec", level="40k", scale=scale,
                         gamma=5.0, queue_capacity=6, seed=base_seed + k,
                         mapper_name="PAM", dropper_name="react",
-                        batch_window=w, incremental=True, scoring="vector")
+                        batch_window=w)
             l_time, l_metrics = timed(
                 TrialSpec(small_plane_tasks=max_tasks + 1, **base))
             v_time, v_metrics = timed(TrialSpec(small_plane_tasks=0, **base))

@@ -93,21 +93,13 @@ class TrialSpec:
         Mapper batch-queue window size.
     with_cost:
         Whether to attach a cost report to the trial metrics.
-    incremental:
-        Forwarded to :class:`~repro.sim.system.SystemConfig`: enables the
-        simulation core's incremental completion-PMF caches (default) or
-        forces the naive full recomputation (used by the equivalence
-        tests).
-    scoring:
-        Forwarded to :class:`~repro.sim.system.SystemConfig`: score-plane
-        backend of the two-phase mapping heuristics (``"vector"`` batched
-        NumPy engine, ``"loop"`` per-pair reference; identical results).
-    small_plane_tasks:
-        Override of the vector backend's small-plane fallback threshold
-        (``None`` keeps the measured default,
-        :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).  Used by the
-        ``repro bench`` crossover measurement to force one
-        backend or the other at a pinned plane width.
+    incremental / scoring / small_plane_tasks:
+        The engine switches of :class:`~repro.sim.system.SystemConfig`
+        (naive recomputation, ``"loop"`` score plane, small-plane
+        threshold).  They never change results, so no plan, stream spec
+        or builder sets them: this spec is the one hook of the
+        bit-identity referees and the ``repro bench`` crossover
+        measurement, and it is never serialised.
     numerics / uncertainty_name / uncertainty_params / faults_name /
     fault_params / topology_name / topology_params:
         The optional axes, one row each of :data:`repro.api.axes.AXES`

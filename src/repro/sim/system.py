@@ -71,8 +71,8 @@ class SystemConfig:
         (per-machine tail chains, base-PMF memoisation and proactive-drop
         decision reuse).  Reuse is gated on bitwise-identical inputs, so
         results are exactly those of the naive recomputation; disabling it
-        exists for equivalence testing and benchmarking, not as a semantic
-        switch.
+        exists for equivalence testing and benchmarking (only ``TrialSpec``
+        sets it, like ``scoring``), not as a semantic switch.
     scoring:
         Score-plane backend of the declarative two-phase mapping
         heuristics (:mod:`repro.mapping.kernel`): ``"vector"`` (default)

@@ -62,6 +62,11 @@ class StreamPlan:
     warmup: int = 0
 
     def __post_init__(self) -> None:
+        from ..api.axes import check_scalar
+
+        for key in ("horizon", "snapshot_every", "warmup"):
+            object.__setattr__(self, key,
+                               check_scalar(getattr(self, key), "int", key))
         if not self.name:
             raise ValueError("stream plan needs a name")
         if self.horizon < 1:
@@ -117,18 +122,8 @@ class StreamPlan:
     @classmethod
     def from_file(cls, path: str) -> "StreamPlan":
         """Load a plan from a ``.json`` or ``.toml`` file."""
-        from ..api.plan import _loads_toml
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        if str(path).endswith(".toml"):
-            payload = _loads_toml(text)
-        else:
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path!r} is not valid JSON: {exc}") \
-                    from None
-        return cls.from_dict(payload)
+        from ..api.plan import _load_file
+        return cls.from_dict(_load_file(path))
 
     def fingerprint(self) -> str:
         """Stable identity of the service run the plan describes."""

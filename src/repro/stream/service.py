@@ -47,6 +47,10 @@ TRAFFIC_SEED_OFFSET = 7_919
 #: draw execution times from the same generator state.
 EXECUTION_SEED_OFFSET = 1_000_003
 
+#: Engine switches older snapshots and stream plans carried; they never
+#: changed results, so they are read and dropped.
+_LEGACY_KEYS = ("incremental", "scoring")
+
 
 @dataclass(frozen=True)
 class StreamSpec:
@@ -75,16 +79,16 @@ class StreamSpec:
         Mapping heuristic and dropping policy, by registry name.
     metrics_window / metrics_decay:
         Tumbling-window length and EWMA factor of the live metrics.
-    gamma / queue_capacity / batch_window / seed / scenario_params /
-    incremental / scoring and the optional axes (numerics /
-    uncertainty_name / uncertainty_params / faults_name / fault_params /
-    topology_name / topology_params):
+    gamma / queue_capacity / batch_window / seed / scenario_params and
+    the optional axes (numerics / uncertainty_name / uncertainty_params /
+    faults_name / fault_params / topology_name / topology_params):
         As in :class:`~repro.experiments.runner.TrialSpec`.  Faults draw
         from a dedicated seeded stream (``seed + FAULT_SEED_OFFSET``) and
         transfer schedules are RNG-free, so enabling either never perturbs
         traffic or execution sampling.  Snapshots written before an axis
         existed restore with its disabling default, preserving their
-        replay.
+        replay.  A service runs the default engine: the engine switches
+        are ``TrialSpec``-only.
     """
 
     scenario_name: str = "spec"
@@ -106,21 +110,23 @@ class StreamSpec:
     fault_params: Tuple[Tuple[str, object], ...] = ()
     topology_name: str = "uniform"
     topology_params: Tuple[Tuple[str, object], ...] = ()
-    incremental: bool = True
-    scoring: str = "vector"
     numerics: str = "exact"
     metrics_window: int = 500
     metrics_decay: float = 0.2
 
     def __post_init__(self) -> None:
-        from ..api.axes import freeze_params
+        from ..api.axes import SCALARS, check_scalar, freeze_params
 
         # Accept plain dicts for all *_params fields and freeze them, so
-        # StreamSpec(dropper_params={"beta": 1.0}) just works.
+        # StreamSpec(dropper_params={"beta": 1.0}) just works; type-check
+        # the scalars, so queue_capacity = 6.5 fails instead of truncating.
         for f in dataclass_fields(self):
+            value = getattr(self, f.name)
             if f.name.endswith("_params"):
-                object.__setattr__(self, f.name, freeze_params(
-                    getattr(self, f.name), f.name))
+                value = freeze_params(value, f.name)
+            elif f.type in SCALARS:
+                value = check_scalar(value, f.type, f.name)
+            object.__setattr__(self, f.name, value)
         if self.oversubscription <= 0:
             raise ValueError("oversubscription must be positive")
         if self.gamma < 0:
@@ -130,9 +136,7 @@ class StreamSpec:
         if not 0 < self.metrics_decay <= 1:
             raise ValueError("metrics decay must be within (0, 1]")
         SystemConfig(queue_capacity=self.queue_capacity,
-                     batch_window=self.batch_window,
-                     incremental=self.incremental, scoring=self.scoring,
-                     numerics=self.numerics)
+                     batch_window=self.batch_window, numerics=self.numerics)
 
     # ------------------------------------------------------------------
     @property
@@ -155,15 +159,16 @@ class StreamSpec:
 
         Unknown keys are rejected with the accepted set in the message, so
         a hand-edited snapshot or stream plan cannot silently drop a
-        parameter.
+        parameter; the legacy ``incremental``/``scoring`` keys are dropped.
         """
         known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - known - set(_LEGACY_KEYS))
         if unknown:
             raise ValueError(
                 f"unknown StreamSpec key(s) {', '.join(map(repr, unknown))}; "
                 f"accepted: {', '.join(sorted(known))}")
-        return cls(**dict(payload))
+        return cls(**{key: value for key, value in payload.items()
+                      if key in known})
 
 
 class StreamingSimulation:

@@ -85,15 +85,6 @@ class TestBuilderConstruction:
         assert specs[0].mapper_name == "MM"
         assert specs[0].scoring == "vector"
 
-    def test_scoring_backend_threads_through(self):
-        sim = Simulation.scenario("spec").scoring("loop")
-        assert sim.build_specs()[0].scoring == "loop"
-        assert sim.describe_config()["scoring"] == "loop"
-        # The default backend stays out of the config echo, like incremental.
-        assert "scoring" not in Simulation.scenario("spec").describe_config()
-        with pytest.raises(ValueError, match="scoring backend"):
-            Simulation.scenario("spec").scoring("quantum")
-
 
 class TestRunResult:
     @pytest.fixture(scope="class")

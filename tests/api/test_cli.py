@@ -215,6 +215,10 @@ class TestPlanCommand:
         assert main(["plan", "describe", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "did you mean 'workload'" in err
+        bad.write_text('{"execution": {"with_cost": "no"}}')
+        assert main(["plan", "describe", str(bad)]) == 2
+        assert "execution.with_cost must be true or false, got 'no'" in \
+            capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -5,6 +5,12 @@ and compared byte-wise on resume, so a refactor of how they are produced
 must leave every byte in place.  Each file under ``tests/api/golden/`` is
 the exact output of one producer below; a diff here means a previously
 written plan, spool or snapshot would no longer resume.
+
+``tests/api/golden/legacy/`` keeps the artifacts written while plans and
+stream specs still carried the engine switches (``incremental``,
+``scoring``) and fingerprinted ``confidence``: the plan files, a spool
+header, a partial spool of ``examples/plan_minimal.toml`` and a stream
+plan.  ``test_legacy_artifacts.py`` shows they still load and resume.
 """
 
 from __future__ import annotations
@@ -89,8 +95,7 @@ def _run_config() -> str:
 
 @functools.lru_cache(maxsize=None)
 def _sweep_cell_config() -> str:
-    sweep = (_builder().incremental(False).scoring("loop")
-             .sweep(mapper=["PAM", "MM"]))
+    sweep = _builder().sweep(mapper=["PAM", "MM"])
     return json.dumps(sweep.runs[1].config, indent=2, sort_keys=True) + "\n"
 
 

@@ -64,10 +64,6 @@ class TestPlanSerialisation:
                    for s in [spec])
         assert all("numerics" not in cell.config for cell in exact.cells())
 
-    def test_fast_requires_incremental(self):
-        with pytest.raises(PlanError, match="incremental"):
-            tiny_plan(numerics="fast", incremental=False)
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(PlanError, match="numerics"):
             tiny_plan(numerics="fused")
@@ -119,12 +115,6 @@ class TestStreamSpecCompatibility:
         spec = StreamSpec(traffic_name="steady", mapper_name="PAM",
                           dropper_name="react", seed=3, numerics="fast")
         assert StreamSpec.from_dict(spec.to_dict()).numerics == "fast"
-
-    def test_fast_requires_incremental(self):
-        with pytest.raises(ValueError, match="incremental"):
-            StreamSpec(traffic_name="steady", mapper_name="PAM",
-                       dropper_name="react", seed=3, incremental=False,
-                       numerics="fast")
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="numerics"):

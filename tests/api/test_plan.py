@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import (ExperimentPlan, MemorySink, PairSpec, PlanError,
@@ -65,11 +66,35 @@ class TestConstructionAndValidation:
         with pytest.raises(PlanError):
             tiny_plan(trials=0)
         with pytest.raises(PlanError):
-            tiny_plan(scoring="quantum")
-        with pytest.raises(PlanError):
             tiny_plan(confidence=1.5)
         with pytest.raises(PlanError):
             tiny_plan(n_jobs=0)
+        # Scalars are type-checked, not coerced: bool("no") is True and
+        # int(2.7) is 2, and either would change the results.
+        for key, value, message in [
+            ("with_cost", "no",
+             "execution.with_cost must be true or false, got 'no'"),
+            ("with_cost", 1,
+             "execution.with_cost must be true or false, got 1"),
+            ("trials", 2.7, "execution.trials must be an integer, got 2.7"),
+            ("trials", "x", "execution.trials must be an integer, got 'x'"),
+            ("trials", True,
+             "execution.trials must be an integer, got True"),
+            ("confidence", "0.9",
+             "execution.confidence must be a number, got '0.9'"),
+            ("batch_window", 3.9,
+             "workload.batch_window must be an integer, got 3.9"),
+            ("scales", ["0.002"],
+             "workload.scales must be a number, got '0.002'"),
+        ]:
+            with pytest.raises(PlanError) as err:
+                tiny_plan(**{key: value})
+            assert str(err.value) == message
+        # Any integral or real number type is accepted and normalised.
+        plan = tiny_plan(trials=np.int64(2), confidence=np.float32(0.5),
+                         gammas=[1])
+        assert (type(plan.trials), type(plan.confidence),
+                type(plan.gammas[0])) == (int, float, float)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(PlanError, match="no values"):
@@ -153,8 +178,7 @@ class TestRoundTrip:
                        "params": {"beta": 1.5, "eta": 3},
                        "label": "Heuristic(beta=1.5)"}],
             trials=3, base_seed=11, queue_capacity=4, batch_window=16,
-            confidence=0.9, with_cost=True, incremental=False,
-            scoring="loop", n_jobs=2,
+            confidence=0.9, with_cost=True, n_jobs=2,
             metrics=["robustness_pct", "makespan"])
 
     def test_dict_round_trip_idempotent(self, rich_plan):
@@ -218,10 +242,14 @@ class TestRoundTrip:
             ExperimentPlan.from_dict(rich_plan.to_dict()).fingerprint()
         import dataclasses
 
-        same_work = dataclasses.replace(rich_plan, n_jobs=7)
-        assert same_work.fingerprint() == rich_plan.fingerprint()
-        other = dataclasses.replace(rich_plan, base_seed=12)
-        assert other.fingerprint() != rich_plan.fingerprint()
+        # Neither the worker count nor the interval level of the reported
+        # summaries changes a trial, so neither changes the fingerprint.
+        for same_work in (dataclasses.replace(rich_plan, n_jobs=7),
+                          dataclasses.replace(rich_plan, confidence=0.99)):
+            assert same_work.fingerprint() == rich_plan.fingerprint()
+        for other in (dataclasses.replace(rich_plan, base_seed=12),
+                      dataclasses.replace(rich_plan, with_cost=False)):
+            assert other.fingerprint() != rich_plan.fingerprint()
 
 
 class TestExecution:
@@ -282,8 +310,7 @@ class TestBuilderBridge:
         sim = (Simulation.scenario("homogeneous", level="20k", scale=TINY,
                                    num_machines=4)
                .mapper("MM").dropper("heuristic", beta=2.0)
-               .trials(2, base_seed=9).scoring("loop").incremental(False)
-               .with_cost())
+               .trials(2, base_seed=9).with_cost())
         plan = sim.build_plan()
         assert plan.cells()[0].specs == sim.build_specs()
         rebuilt = ExperimentPlan.from_dict(plan.to_dict())

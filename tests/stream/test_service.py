@@ -1,5 +1,7 @@
 """Tests of the streaming driver: chunk invariance, specs, lifecycle."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.stream import StreamSpec, StreamingSimulation
@@ -119,20 +121,28 @@ class TestChunkInvariance:
         assert comparable(c) != comparable(a)
 
 
+@dataclass(frozen=True)
+class NaiveStreamSpec(StreamSpec):
+    """A service spec with the naive engine: ``build_system`` reads the
+    engine switch off any spec that declares it."""
+
+    incremental: bool = False
+
+
 class TestIncrementalEquivalence:
     def test_incremental_matches_naive_and_folds_less(self):
         # The service drives the same scheduler views as a batch trial, so
         # the incremental caches must reproduce the naive recomputation
         # bit for bit while folding fewer chains.
         services = []
-        for incremental in (False, True):
-            service = StreamingSimulation(StreamSpec(
+        for spec_type in (NaiveStreamSpec, StreamSpec):
+            service = StreamingSimulation(spec_type(
                 scenario_name="spec", traffic_name="steady", seed=42,
-                mapper_name="PAM", dropper_name="heuristic",
-                incremental=incremental))
+                mapper_name="PAM", dropper_name="heuristic"))
             service.run_until(round(30_000 * 0.002 / service.arrival_rate))
             services.append(service)
         naive, incremental = services
+        assert not naive.system.config.incremental
         assert comparable(incremental) == comparable(naive)
         assert (incremental.system.perf.pmf_folds
                 < naive.system.perf.pmf_folds)

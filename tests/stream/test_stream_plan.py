@@ -71,6 +71,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="snapshot_every"):
             StreamPlan(snapshot_every=-1)
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"stream": {"queue_capacity": 6.5}},
+         "queue_capacity must be an integer, got 6.5"),
+        ({"stream": {"oversubscription": "1.5"}},
+         "oversubscription must be a number, got '1.5'"),
+        ({"stream": {"seed": True}}, "seed must be an integer, got True"),
+        ({"horizon": 2500.5}, "horizon must be an integer, got 2500.5"),
+    ])
+    def test_scalar_types_checked(self, payload, message):
+        with pytest.raises(ValueError) as err:
+            StreamPlan.from_dict({"name": "svc", **payload})
+        assert str(err.value) == message
+
 
 class TestCheckpoints:
     def test_no_periodic_snapshots(self):
