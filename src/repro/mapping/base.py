@@ -198,25 +198,19 @@ class MappingContext:
     """Completion-time calculator shared by all heuristics.
 
     Completion PMFs appended to a machine tail are memoised per
-    ``(machine, tail-version, task)`` triple, because two-phase heuristics
-    re-evaluate the same pairs over several rounds of a single mapping event.
+    ``(machine, tail-version, task)`` triple for the length of one mapping
+    event, because two-phase heuristics re-evaluate the same pairs over
+    several rounds, and the commit path re-asks for the pair the score
+    plane just folded.
 
-    ``shared_cache`` optionally extends the memoisation *across* mapping
-    events: the simulator passes a persistent dict, and appends onto a
-    machine's unmodified tail (version 0) are keyed by ``(machine, task)``
-    and guarded by identity of the tail PMF object.  The simulator's tail
-    cache returns the same immutable instance while a queue is unchanged, so
-    a hit proves the inputs -- and therefore the result -- are unchanged.
-
-    ``folder`` optionally routes fold arithmetic through the run's batched
-    :class:`~repro.core.completion.ChainFolder` (scratch buffers plus an
-    identity-keyed fold memo over hash-consed PMFs), so appends that repeat
-    across machines of the same type -- or across mapping events -- skip
-    NumPy entirely.  Results are bit-identical either way -- unless the
-    folder runs the ``numerics="fast"`` profile, in which case *scores*
-    (and only scores) are served by its closed-form / batched-FFT backends
-    within the documented tolerance, while committed completion PMFs stay
-    exact.
+    ``folder`` optionally routes fold arithmetic through the run's
+    :class:`~repro.core.completion.ChainFolder`, whose identity-keyed memos
+    answer repeated folds, chances and means -- across machines of the
+    same type and across mapping events -- without NumPy.  Results are
+    bit-identical either way -- unless the folder runs the
+    ``numerics="fast"`` profile, in which case *scores* (and only scores)
+    come from its closed-form chance and mean within the documented
+    tolerance, while committed completion PMFs stay exact.
 
     ``small_plane_tasks`` overrides the vector backend's small-plane
     dispatch threshold (``None`` keeps the measured platform default,
@@ -224,10 +218,7 @@ class MappingContext:
     """
 
     def __init__(self, pet: PETMatrix, now: int, prune_eps: float = 1e-12,
-                 shared_cache: Optional[Dict[Tuple[int, int],
-                                             Tuple[PMF, PMF]]] = None,
                  folder: Optional[ChainFolder] = None,
-                 memoize_scores: bool = False,
                  scoring: str = "vector",
                  small_plane_tasks: Optional[int] = None,
                  exec_view: Optional["EffectiveExecution"] = None):
@@ -245,7 +236,6 @@ class MappingContext:
         self.small_plane_tasks = (None if small_plane_tasks is None
                                   else int(small_plane_tasks))
         self._cache: Dict[Tuple[int, int, int], PMF] = {}
-        self._shared = shared_cache
         if folder is not None and folder.prune_eps != self.prune_eps:
             folder = None  # a mismatched kernel would change pruning
         self._folder = folder
@@ -260,18 +250,6 @@ class MappingContext:
         #: (``plane_evals`` / ``plane_rounds``) after the event.
         self.plane_evals = 0
         self.plane_rounds = 0
-        # Scalar score memos (``memoize_scores``).  Two-phase heuristics
-        # re-score every candidate (task, machine) pair on every commit
-        # round even though only the committed machine's tail moved;
-        # memoising the derived scalars under the same
-        # (machine, version, task) key turns those re-evaluations into
-        # dictionary hits.  The cached float is the exact value the
-        # recomputation would return, so decisions are unchanged.  The
-        # simulator enables this with its other incremental machinery; the
-        # naive benchmarking path keeps the recompute-per-round behaviour.
-        self._memoize_scores = bool(memoize_scores)
-        self._chance: Dict[Tuple[int, int, int], float] = {}
-        self._expected: Dict[Tuple[int, int, int], float] = {}
         #: True when score queries run the folder's fast-numerics backends.
         self._fast = folder is not None and folder.numerics == "fast"
 
@@ -305,13 +283,6 @@ class MappingContext:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        shared_key = None
-        if self._shared is not None and machine.version == 0:
-            shared_key = (machine.machine_id, task.task_id)
-            hit = self._shared.get(shared_key)
-            if hit is not None and hit[0] is machine.tail_pmf:
-                self._cache[key] = hit[1]
-                return hit[1]
         if self._folder is not None:
             pmf = self._folder.fold(machine.tail_pmf,
                                     self.exec_pmf(task, machine), task.deadline)
@@ -319,27 +290,7 @@ class MappingContext:
             pmf = completion_pmf(machine.tail_pmf, self.exec_pmf(task, machine),
                                  task.deadline, self.prune_eps)
         self._cache[key] = pmf
-        if shared_key is not None:
-            self._shared[shared_key] = (machine.tail_pmf, pmf)
         return pmf
-
-    def _scored(self, memo: Dict[Tuple[int, int, int], float],
-                machine: MachineState, task: TaskView,
-                compute: Callable[[PMF], float]) -> float:
-        """Evaluate ``compute`` on the appended completion PMF, memoised.
-
-        Both scalar scores share this gate so their memo keys can never
-        drift apart: keyed by (machine, tail version, task), exactly the
-        triple :meth:`completion_if_appended` is keyed by.
-        """
-        if not self._memoize_scores:
-            return compute(self.completion_if_appended(machine, task))
-        key = (machine.machine_id, machine.version, task.task_id)
-        value = memo.get(key)
-        if value is None:
-            value = compute(self.completion_if_appended(machine, task))
-            memo[key] = value
-        return value
 
     def expected_completion(self, machine: MachineState, task: TaskView) -> float:
         """Expected completion time of ``task`` appended to ``machine``.
@@ -350,20 +301,11 @@ class MappingContext:
         """
         folder = self._folder
         if self._fast:
-            if not self._memoize_scores:
-                return folder.append_mean(machine.tail_pmf,
-                                          self.exec_pmf(task, machine),
-                                          task.deadline)
-            key = (machine.machine_id, machine.version, task.task_id)
-            value = self._expected.get(key)
-            if value is None:
-                value = folder.append_mean(machine.tail_pmf,
-                                           self.exec_pmf(task, machine),
-                                           task.deadline)
-                self._expected[key] = value
-            return value
-        return self._scored(self._expected, machine, task,
-                            folder.mean if folder is not None else PMF.mean)
+            return folder.append_mean(machine.tail_pmf,
+                                      self.exec_pmf(task, machine),
+                                      task.deadline)
+        pmf = self.completion_if_appended(machine, task)
+        return folder.mean(pmf) if folder is not None else pmf.mean()
 
     def chance_of_success(self, machine: MachineState, task: TaskView) -> float:
         """Probability that ``task`` appended to ``machine`` meets its deadline.
@@ -374,23 +316,13 @@ class MappingContext:
         """
         folder = self._folder
         if self._fast:
-            if not self._memoize_scores:
-                return folder.append_chance(machine.tail_pmf,
-                                            self.exec_pmf(task, machine),
-                                            task.deadline)
-            key = (machine.machine_id, machine.version, task.task_id)
-            value = self._chance.get(key)
-            if value is None:
-                value = folder.append_chance(machine.tail_pmf,
-                                             self.exec_pmf(task, machine),
-                                             task.deadline)
-                self._chance[key] = value
-            return value
+            return folder.append_chance(machine.tail_pmf,
+                                        self.exec_pmf(task, machine),
+                                        task.deadline)
+        pmf = self.completion_if_appended(machine, task)
         if folder is not None:
-            compute = lambda pmf: folder.chance(pmf, task.deadline)
-        else:
-            compute = lambda pmf: pmf.mass_before(task.deadline)
-        return self._scored(self._chance, machine, task, compute)
+            return folder.chance(pmf, task.deadline)
+        return pmf.mass_before(task.deadline)
 
     # ------------------------------------------------------------------
     def score_block(self, machine: MachineState, tasks: Sequence[TaskView],
@@ -426,18 +358,9 @@ class MappingContext:
         pmfs: List[Optional[PMF]] = [None] * n
         miss: List[int] = []
         if version == 0:
-            # An unmodified tail may already carry appends: from this event
-            # (the per-event cache) or from earlier events (the shared
-            # append cache, guarded by tail identity).
-            tail = machine.tail_pmf
+            # An unmodified tail may already carry appends from this event.
             for i, task in enumerate(tasks):
-                key = (mid, 0, task.task_id)
-                pmf = self._cache.get(key)
-                if pmf is None and self._shared is not None:
-                    hit = self._shared.get((mid, task.task_id))
-                    if hit is not None and hit[0] is tail:
-                        pmf = hit[1]
-                        self._cache[key] = pmf
+                pmf = self._cache.get((mid, 0, task.task_id))
                 if pmf is None:
                     miss.append(i)
                 else:
@@ -447,36 +370,21 @@ class MappingContext:
             # cached under the new key yet, so skip the probes entirely.
             miss = list(range(n))
         if miss:
-            tail = machine.tail_pmf
             exec_pmfs = [self.exec_pmf(tasks[i], machine) for i in miss]
             deadlines = [tasks[i].deadline for i in miss]
             folded, f_means, f_chances = batched_append_scores(
-                tail, exec_pmfs, deadlines, self.prune_eps, self._folder,
-                want_mean=want_mean, want_chance=want_chance)
+                machine.tail_pmf, exec_pmfs, deadlines, self.prune_eps,
+                self._folder, want_mean=want_mean, want_chance=want_chance)
             record = not self._fast
-            share = (self._shared is not None and version == 0) and record
-            memoize = self._fast and self._memoize_scores
             for j, i in enumerate(miss):
                 pmf = folded[j]
                 pmfs[i] = pmf
-                if record and pmf is not None:
+                if record:
                     self._cache[(mid, version, tasks[i].task_id)] = pmf
-                    if share:
-                        self._shared[(mid, tasks[i].task_id)] = (tail, pmf)
                 if means is not None:
                     means[i] = f_means[j]
-                    if memoize:
-                        # Fast scores feed the scalar memos instead of the
-                        # appended-PMF caches, so phase-2 re-queries of the
-                        # same pair are dictionary hits rather than exact
-                        # re-folds.
-                        self._expected[(mid, version, tasks[i].task_id)] = \
-                            f_means[j]
                 if chances is not None:
                     chances[i] = f_chances[j]
-                    if memoize:
-                        self._chance[(mid, version, tasks[i].task_id)] = \
-                            f_chances[j]
         if len(miss) != n:
             # Score the cache hits with the exact arithmetic of the scalar
             # path (PMF.mean / mass_before, folder-memoised chance).

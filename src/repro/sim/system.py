@@ -334,12 +334,6 @@ class HCSystem:
         #: (base PMF, pending ids, pressure) -> memoised drop decision.
         self._drop_cache: Dict[int, Tuple[PMF, Tuple[int, ...], float,
                                           DropDecision]] = {}
-        #: (machine id, task id) -> (tail PMF, appended completion PMF);
-        #: shared with every MappingContext so mappers reuse appends across
-        #: events while a machine tail is unchanged.  Entries are evicted
-        #: when the task leaves the batch queue, bounding the cache by the
-        #: mapper window.
-        self._append_cache: Dict[Tuple[int, int], Tuple[PMF, PMF]] = {}
         #: Batched Eq. 1 fold kernel of this run (identity-keyed fold memo
         #: over the cached tail PMFs).  Installed process-wide around the
         #: event loop so dropping policies share it; ``None`` on the naive
@@ -541,10 +535,6 @@ class HCSystem:
         self._base_cache.pop(machine_id, None)
         self._tail_cache.pop(machine_id, None)
         self._drop_cache.pop(machine_id, None)
-        if self._append_cache:
-            stale = [key for key in self._append_cache if key[0] == machine_id]
-            for key in stale:
-                del self._append_cache[key]
 
     def _machine_mappable(self, machine_id: int) -> bool:
         """False while the machine is down or cut off by a partition."""
@@ -597,7 +587,6 @@ class HCSystem:
             self.num_batch_expired_drops += 1
             self._task_closed()
             self.perf.batch_expired += 1
-            self._evict_append_cache(task_id)
             self._trace(now, "expired_batch", task_id=task_id)
 
     # -- step 2: proactive dropping ------------------------------------
@@ -668,10 +657,8 @@ class HCSystem:
         machine_states = [self._machine_state(machine, now) for machine in machines]
         window_ids = self.batch_queue.window(self.config.batch_window)
         task_views = [self._task_view(task_id) for task_id in window_ids]
-        shared = self._append_cache if self.config.incremental else None
         ctx = MappingContext(self.pet, now, self.config.prune_eps,
-                             shared_cache=shared, folder=self._folder,
-                             memoize_scores=self.config.incremental,
+                             folder=self._folder,
                              scoring=self.config.scoring,
                              small_plane_tasks=self.config.small_plane_tasks,
                              exec_view=self._exec_view)
@@ -687,16 +674,7 @@ class HCSystem:
             self.batch_queue.remove(task.id)
             machine.enqueue(task.id)
             task.mark_queued(machine.id, now)
-            self._evict_append_cache(task.id)
             self._trace(now, "mapped", task_id=task.id, machine_id=machine.id)
-
-    def _evict_append_cache(self, task_id: int) -> None:
-        """Drop a departed batch task's entries from the shared append cache."""
-        cache = self._append_cache
-        if not cache:
-            return
-        for machine in self.machines:
-            cache.pop((machine.id, task_id), None)
 
     # -- step 4: dispatch -------------------------------------------------
     def _dispatch(self, now: int) -> None:
