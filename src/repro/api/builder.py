@@ -35,6 +35,7 @@ from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
 
 from ..metrics.collector import aggregate_trials
 from ..sim.system import SystemConfig
+from ..workload.deadlines import check_gamma
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
 from .axes import AXES_BY_KEY, REGISTRY_AXES
 from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
@@ -212,8 +213,7 @@ class Simulation:
 
     def gamma(self, gamma: float) -> "Simulation":
         """Set the deadline slack coefficient."""
-        if gamma < 0:
-            raise ValueError("gamma cannot be negative")
+        check_gamma(gamma)
         return replace(self, gamma_value=float(gamma))
 
     def queue_capacity(self, capacity: int) -> "Simulation":

@@ -57,6 +57,7 @@ if TYPE_CHECKING:
 
 from ..metrics.collector import aggregate_trials, trial_metrics_from_dict
 from ..sim.system import SystemConfig
+from ..workload.deadlines import check_gamma
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
 from .axes import (AXES, REGISTRY_AXES, SCALARS, active_axes, axis_payload,
                    check_scalar, freeze_params, spec_kwargs)
@@ -379,9 +380,11 @@ class ExperimentPlan:
         for scale in self.scales:
             if not 0 < scale <= 1.0:
                 raise PlanError("every scale must be within (0, 1]")
-        for gamma in self.gammas:
-            if gamma < 0:
-                raise PlanError("gamma cannot be negative")
+        try:
+            for gamma in self.gammas:
+                check_gamma(gamma)
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
         if self.pairs and (tuple(p.name for p in self.mappers) != ("PAM",)
                            or tuple(d.name for d in self.droppers)
                            != ("react",)

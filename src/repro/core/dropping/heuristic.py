@@ -55,10 +55,12 @@ class ProactiveHeuristicDropping(DroppingPolicy):
 
     def __init__(self, beta: float = DEFAULT_BETA, eta: int = DEFAULT_ETA,
                  prune_eps: float = 1e-12):
-        if beta < 1.0:
-            raise ValueError("robustness improvement factor beta must be >= 1")
-        if eta < 1:
-            raise ValueError("effective depth eta must be >= 1")
+        if not beta >= 1.0:  # also rejects NaN, which never drops
+            raise ValueError("robustness improvement factor beta must be "
+                             f">= 1, got {beta}")
+        if isinstance(eta, bool) or not float(eta).is_integer() or eta < 1:
+            raise ValueError("effective depth eta must be an integer >= 1, "
+                             f"got {eta!r}")
         self.beta = float(beta)
         self.eta = int(eta)
         self.prune_eps = float(prune_eps)

@@ -43,8 +43,9 @@ class OptimalProactiveDropping(DroppingPolicy):
 
     def __init__(self, improvement_factor: float = 1.0, max_queue_length: int = 16,
                  prune_eps: float = 1e-12):
-        if improvement_factor < 1.0:
-            raise ValueError("improvement factor must be >= 1")
+        if not improvement_factor >= 1.0:  # also rejects NaN, which never drops
+            raise ValueError("improvement_factor must be >= 1, "
+                             f"got {improvement_factor}")
         if max_queue_length < 1:
             raise ValueError("max_queue_length must be positive")
         self.improvement_factor = float(improvement_factor)

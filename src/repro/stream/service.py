@@ -31,7 +31,7 @@ from ..sim.fault_events import FAULT_SEED_OFFSET
 from ..sim.system import SystemConfig
 from ..sim.task import Task
 from ..workload.arrivals import rate_for_oversubscription
-from ..workload.deadlines import PaperDeadlinePolicy
+from ..workload.deadlines import PaperDeadlinePolicy, check_gamma
 from ..workload.scenario import build_scenario
 from .live_metrics import LiveMetrics, MetricsTimeline, WindowStats
 
@@ -129,8 +129,7 @@ class StreamSpec:
             object.__setattr__(self, f.name, value)
         if self.oversubscription <= 0:
             raise ValueError("oversubscription must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma cannot be negative")
+        check_gamma(self.gamma)
         if self.metrics_window < 1:
             raise ValueError("metrics window must be positive")
         if not 0 < self.metrics_decay <= 1:

@@ -12,11 +12,18 @@ how tight deadlines are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.pet import PETMatrix
 
-__all__ = ["DeadlinePolicy", "PaperDeadlinePolicy"]
+__all__ = ["DeadlinePolicy", "PaperDeadlinePolicy", "check_gamma"]
+
+
+def check_gamma(gamma: float) -> None:
+    """Reject a slack coefficient ``γ`` that is negative or not finite."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
 
 
 class DeadlinePolicy:
@@ -40,8 +47,7 @@ class PaperDeadlinePolicy(DeadlinePolicy):
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma cannot be negative")
+        check_gamma(self.gamma)
 
     def deadline(self, arrival: int, task_type: int, pet: PETMatrix) -> int:
         """Deadline per the paper formula, rounded to an integer time unit."""

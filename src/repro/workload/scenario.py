@@ -28,7 +28,7 @@ from ..core.pet import PETMatrix
 from ..sim.machine import Machine
 from ..sim.task import Task, TaskType
 from .arrivals import rate_for_oversubscription
-from .deadlines import PaperDeadlinePolicy
+from .deadlines import PaperDeadlinePolicy, check_gamma
 from .homogeneous import HomogeneousWorkloadFactory
 from .platforms import Platform
 from .spec import SpecWorkloadFactory
@@ -98,8 +98,7 @@ class ScenarioSpec:
                              f"expected one of {sorted(OVERSUBSCRIPTION_LEVELS)}")
         if not 0 < self.scale <= 1.0:
             raise ValueError("scale must be within (0, 1]")
-        if self.gamma < 0:
-            raise ValueError("gamma cannot be negative")
+        check_gamma(self.gamma)
         if self.rate_multiplier <= 0:
             raise ValueError("rate multiplier must be positive")
 

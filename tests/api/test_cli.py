@@ -135,6 +135,27 @@ class TestRunCommand:
         assert ("repro run: error: --param beta: 'fast' is not a number"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("dropper,param,message", [
+        ("heuristic", "beta=nan", "beta must be >= 1, got nan"),
+        ("heuristic", "eta=1.5", "eta must be an integer >= 1, got 1.5"),
+        ("optimal", "improvement_factor=nan",
+         "improvement_factor must be >= 1, got nan"),
+    ])
+    def test_bad_dropper_value_names_its_param(self, dropper, param,
+                                               message, capsys):
+        assert main(["run", "--scale", "0.002", "--trials", "1",
+                     "--mapper", "PAM", "--dropper", dropper,
+                     "--param", param]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_rejected(self, command, gamma, capsys):
+        assert main([command, "--gamma", gamma]) == 2
+        assert (f"repro {command}: error: gamma must be a finite number "
+                f">= 0, got {gamma}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "serve"])
     def test_bad_fault_param_names_its_flag(self, command, capsys):
         assert main([command, "--faults", "crash-restart",
@@ -219,6 +240,12 @@ class TestPlanCommand:
         assert main(["plan", "describe", str(bad)]) == 2
         assert "execution.with_cost must be true or false, got 'no'" in \
             capsys.readouterr().err
+        bad = tmp_path / "bad.toml"
+        for gamma in ("inf", "nan"):
+            bad.write_text(f"[workload]\ngammas = [{gamma}]\n")
+            assert main(["plan", "run", str(bad)]) == 2
+            assert (f"gamma must be a finite number >= 0, got {gamma}"
+                    in capsys.readouterr().err)
 
 
 class TestBenchCommand:

@@ -33,6 +33,19 @@ class TestParameters:
         with pytest.raises(ValueError):
             ProactiveHeuristicDropping(eta=0)
 
+    def test_nan_beta_rejected(self):
+        # NaN fails every Eq. 8 comparison, so it would silently never drop.
+        with pytest.raises(ValueError, match="beta must be >= 1, got nan"):
+            ProactiveHeuristicDropping(beta=float("nan"))
+
+    @pytest.mark.parametrize("eta", [1.5, True, float("nan"), float("inf")])
+    def test_non_integral_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be an integer >= 1"):
+            ProactiveHeuristicDropping(eta=eta)
+
+    def test_integral_float_eta_accepted(self):
+        assert ProactiveHeuristicDropping(eta=3.0).eta == 3
+
     def test_repr_mentions_parameters(self):
         text = repr(ProactiveHeuristicDropping(beta=2.0, eta=3))
         assert "2.0" in text and "3" in text
@@ -90,6 +103,8 @@ class TestDecisions:
         conservative = ProactiveHeuristicDropping(beta=4.0, eta=2)
         assert aggressive.evaluate_queue(view(entries)).drop_indices == (0,)
         assert conservative.evaluate_queue(view(entries)).num_drops == 0
+        never = ProactiveHeuristicDropping(beta=float("inf"), eta=2)
+        assert never.evaluate_queue(view(entries)).num_drops == 0
 
     def test_eta_one_can_miss_deeper_gains(self):
         """The paper's argument for eta=2: with eta=1 a gain two positions

@@ -43,6 +43,15 @@ class TestParameters:
         with pytest.raises(ValueError):
             OptimalProactiveDropping(improvement_factor=0.9)
 
+    def test_nan_improvement_factor_rejected(self):
+        with pytest.raises(ValueError,
+                           match="improvement_factor must be >= 1, got nan"):
+            OptimalProactiveDropping(improvement_factor=float("nan"))
+
+    def test_infinite_improvement_factor_accepted(self):
+        policy = OptimalProactiveDropping(improvement_factor=float("inf"))
+        assert policy.improvement_factor == float("inf")
+
     def test_invalid_queue_bound(self):
         with pytest.raises(ValueError):
             OptimalProactiveDropping(max_queue_length=0)

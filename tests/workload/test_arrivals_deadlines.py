@@ -92,6 +92,11 @@ class TestPaperDeadlinePolicy:
         with pytest.raises(ValueError):
             PaperDeadlinePolicy(gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a finite number"):
+            PaperDeadlinePolicy(gamma=gamma)
+
     def test_larger_gamma_looser_deadlines(self):
         pet = make_pet(mean=100)
         tight = PaperDeadlinePolicy(gamma=0.5).deadline(0, 0, pet)
