@@ -261,8 +261,8 @@ class Simulation:
         reference -- the repository's headline reproducibility contract.
         ``"fast"`` serves chance-of-success scores from a closed-form dot
         product against cached execution CDFs and expected-completion
-        scores from batched FFT folds, trading float ordering for speed
-        within a documented sup-norm tolerance
+        scores from closed-form moment algebra, trading float ordering
+        for speed within a documented sup-norm tolerance
         (:data:`repro.core.completion.FAST_FOLD_SUP_NORM_TOL`); committed
         completion PMFs stay exact.  Unlike the engine switches of
         :class:`~repro.experiments.runner.TrialSpec` (``incremental``,

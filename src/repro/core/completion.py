@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 #: Recognised numerics profiles; ``exact`` reproduces the naive arithmetic
-#: bit-for-bit, ``fast`` trades float ordering for batched FFT folds and
-#: closed-form chance-of-success scores.
+#: bit-for-bit, ``fast`` trades float ordering for closed-form chance and
+#: mean scores (the batched FFT fold, :meth:`ChainFolder.fold_batch`, has
+#: no caller on the simulator's paths yet).
 NUMERICS_PROFILES = ("exact", "fast")
 
 #: Documented per-PMF sup-norm bound of the ``fast`` profile against

@@ -549,7 +549,7 @@ class PMF:
 
         Pickle's own memo keeps shared references shared, so a scenario
         shipped to a worker process still holds one object per PET entry
-        and identity-keyed caches (fold memo, append cache) hit there too.
+        and identity-keyed caches (the folder memos) hit there too.
         """
         return (_restore_pmf, (self._origin, self._probs.tobytes()))
 

@@ -168,8 +168,8 @@ def _add_axis_options(parser: argparse.ArgumentParser) -> None:
                 f"--{axis.plan_key}", default=axis.identity,
                 choices=NUMERICS_PROFILES,
                 help="fold-numerics profile: 'exact' is bit-identical to "
-                     "the naive reference; 'fast' uses batched FFT folds "
-                     "and closed-form success scores (tolerance-bounded; "
+                     "the naive reference; 'fast' uses closed-form chance "
+                     "and completion scores (tolerance-bounded; "
                      "default: exact)")
             continue
         kind = axis.resolve().kind

@@ -340,11 +340,10 @@ class MappingContext:
         path) is a dictionary hit.
 
         Under the ``fast`` numerics profile the misses are served by the
-        folder's closed-form / batched-FFT backends instead, and the
-        resulting score-only PMFs (tolerance-bounded, or not materialised
-        at all for chance-only columns) are *not* recorded in the appended
-        caches: the commit path re-folds its one chosen pair exactly, so
-        the simulated trajectory keeps exact arithmetic.
+        folder's closed-form chance and mean instead: no appended PMF is
+        materialised, so none is recorded, and the commit path re-folds
+        its one chosen pair exactly, so the simulated trajectory keeps
+        exact arithmetic.
 
         Returns ``(means, chances)`` aligned with ``tasks``; entries not
         requested are ``None``.

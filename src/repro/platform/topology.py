@@ -22,8 +22,9 @@ reduces *exactly* to an origin shift of the execution PMF.
 (task type, machine), so effective PMFs are built once per run and
 identity-stable exactly like raw PET entries -- the
 :class:`~repro.core.completion.ChainFolder`
-memos, tail caches and drop-decision memos key on them unchanged, and both
-the exact and the fast (FFT) numerics profiles consume them transparently.
+memos, tail caches and drop-decision memos key on them unchanged, and
+both the exact and the fast (closed-form) numerics profiles consume them
+transparently.
 Zero transfer time stores the *identical* PET entry object, which is what
 keeps zero-size workloads bit-identical to pre-topology runs.
 

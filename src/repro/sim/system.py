@@ -86,7 +86,7 @@ class SystemConfig:
         Arithmetic profile of the mapping scores.  ``"exact"`` (default)
         keeps every score bit-identical to the naive reference.  ``"fast"``
         serves chance-of-success scores from a closed-form dot product and
-        expected-completion scores from batched FFT folds
+        expected-completion scores from closed-form moment algebra
         (:class:`repro.core.completion.ChainFolder`), trading float
         ordering for speed within the documented sup-norm tolerance
         (:data:`repro.core.completion.FAST_FOLD_SUP_NORM_TOL`); committed
