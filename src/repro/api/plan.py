@@ -331,6 +331,8 @@ class ExperimentPlan:
                 set_(self, key, tuple(
                     check_scalar(value, "float", f"workload.{key}")
                     for value in self._as_list(getattr(self, key), key)))
+            for gamma in self.gammas:
+                check_gamma(gamma)
             for f in fields(self):
                 if f.type in SCALARS:
                     where = ("workload" if f.name in _WORKLOAD_KEYS
@@ -380,11 +382,6 @@ class ExperimentPlan:
         for scale in self.scales:
             if not 0 < scale <= 1.0:
                 raise PlanError("every scale must be within (0, 1]")
-        try:
-            for gamma in self.gammas:
-                check_gamma(gamma)
-        except ValueError as exc:
-            raise PlanError(str(exc)) from None
         if self.pairs and (tuple(p.name for p in self.mappers) != ("PAM",)
                            or tuple(d.name for d in self.droppers)
                            != ("react",)
