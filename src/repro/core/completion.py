@@ -12,16 +12,18 @@ equals the completion time of the previous task.
 Batched fold kernel
 -------------------
 :class:`ChainFolder` is the hot-loop variant of :func:`completion_pmf`: it
-folds whole Eq. 1 chains through an **identity-keyed fold memo**, so a
+serves Eq. 1 folds through an **identity-keyed fold memo**, so a
 ``(prev, exec, deadline)`` triple seen before -- the same cached chain tail
 and the same PET entry -- is answered with the previously computed result
-without touching NumPy, and it caches the reversed execution-time operands
-of the convolution.  A memo miss performs bit-for-bit the arithmetic of
+without touching NumPy.  A memo miss performs bit-for-bit the arithmetic of
 :func:`completion_pmf` (same operands, same order), so folded chains are
 exactly reproducible by the naive composed form -- the property pinned by
 the simulator's equivalence tests.  A folder can be installed process-wide
 with :func:`active_folder`; while installed, plain :func:`completion_pmf`
 calls (e.g. from dropping policies) are routed through it.
+
+Every fold -- mapping, tail chains and dropping alike -- prunes impulses
+below one threshold, :data:`repro.core.pmf.DEFAULT_PRUNE_EPS`.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pmf import PMF, _convolve_full
+from .pmf import DEFAULT_PRUNE_EPS, PMF, _convolve_full
 
 __all__ = [
     "QueueEntry",
     "ChainFolder",
     "active_folder",
     "completion_pmf",
-    "fold_chain",
     "batched_append_scores",
     "queue_completion_pmfs",
     "queue_completion_with_drops",
@@ -90,14 +91,13 @@ class QueueEntry:
             raise ValueError("queue entry requires a non-empty execution PMF")
 
 
-def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int,
-          prune_eps: float, folder: Optional["ChainFolder"]) -> PMF:
+def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int) -> PMF:
     """One Eq. 1 fold; the single implementation behind both public paths.
 
-    ``folder`` only supplies the cached reversed execution operand; the
-    arithmetic -- operand trimming, convolution, mixture addition and
-    pruning -- is the same with or without it, so results are bit-for-bit
-    the same.
+    Operand trimming, convolution, mixture addition and pruning at
+    :data:`~repro.core.pmf.DEFAULT_PRUNE_EPS`; the folder memo and the
+    plain :func:`completion_pmf` call both land here, so their results are
+    bit-for-bit the same.
     """
     pp = prev_completion.probs
     po = prev_completion.origin
@@ -106,15 +106,14 @@ def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int,
         # The predecessor can never finish before the deadline: the task is
         # certain to be reactively dropped and the chain passes through
         # unchanged.
-        return prev_completion.pruned(prune_eps)
+        return prev_completion.pruned()
     if exec_pmf.is_empty:
-        return prev_completion.split_at(deadline)[1].pruned(prune_eps)
+        return prev_completion.split_at(deadline)[1].pruned()
     ep = exec_pmf.probs
     eo = exec_pmf.origin
-    ep_rev = folder._reversed(exec_pmf) if folder is not None else None
     if k >= pp.size:
         # Everything starts on time: a plain convolution.
-        conv = _convolve_full(pp, ep, ep_rev)
+        conv = _convolve_full(pp, ep)
     else:
         # ``pp[:k]`` starts on time; its tail may hold interior zeros that a
         # split would have trimmed, and the convolution operand must match
@@ -125,18 +124,17 @@ def _fold(prev_completion: PMF, exec_pmf: PMF, deadline: int,
         if on_time[k - 1] == 0.0:
             nz = on_time.nonzero()[0]
             on_time = on_time[:int(nz[-1]) + 1]
-        conv = _convolve_full(on_time, ep, ep_rev)
-    return _mix(conv, prev_completion, eo, k, prune_eps)
+        conv = _convolve_full(on_time, ep)
+    return _mix(conv, prev_completion, eo, k)
 
 
-def _mix(conv: np.ndarray, prev: PMF, exec_origin: int, k: int,
-         prune_eps: float) -> PMF:
+def _mix(conv: np.ndarray, prev: PMF, exec_origin: int, k: int) -> PMF:
     """Mixture/prune stage of one Eq. 1 fold.
 
     ``conv`` is the *owned* on-time convolution array (``prev[:k]`` with
     the execution PMF); the reactive-drop branch ``prev[k:]`` is added at
-    its own origin, mass below ``prune_eps`` is zeroed, and the result is
-    returned as a trimmed PMF.
+    its own origin, mass below :data:`~repro.core.pmf.DEFAULT_PRUNE_EPS`
+    is zeroed, and the result is returned as a trimmed PMF.
     """
     pp = prev.probs
     po = prev.origin
@@ -151,17 +149,35 @@ def _mix(conv: np.ndarray, prev: PMF, exec_origin: int, k: int,
         out = np.zeros(hi - lo, dtype=np.float64)
         out[conv_origin - lo:conv_origin - lo + conv.size] += conv
         out[drop_origin - lo:drop_origin - lo + pp.size - k] += pp[k:]
-    out[out < prune_eps] = 0.0
+    out[out < DEFAULT_PRUNE_EPS] = 0.0
     return PMF._trusted(lo, out)
+
+
+def _memo_deadline(prev: PMF, deadline: int) -> int:
+    """Memo key deadline of a fold onto ``prev``.
+
+    The fold only reads the deadline through ``k = deadline - origin``
+    clamped to the predecessor's support: every deadline at or beyond the
+    support end produces the *same* plain convolution, and every deadline
+    at or before the origin the same pass-through.  Clamping the memo key
+    unifies those entries, so e.g. same-type candidates whose (distinct)
+    deadlines all clear the queue tail share one memoised fold.
+    """
+    if prev.is_empty:
+        return 0
+    origin = prev.origin
+    if deadline <= origin:
+        return origin
+    return min(deadline, origin + prev.probs.size)
 
 
 class ChainFolder:
     """Batched Eq. 1 fold kernel with an identity memo.
 
-    One folder serves one simulation run (one ``prune_eps``).  The memo maps
-    ``(id(prev), id(exec), deadline)`` to the fold result; entries keep
-    strong references to their key PMFs so the ids stay valid, and the
-    ``is`` re-check on every hit makes a stale-id collision impossible.
+    One folder serves one simulation run.  The memo maps ``(id(prev),
+    id(exec), deadline)`` to the fold result; entries keep strong
+    references to their key PMFs so the ids stay valid, and the ``is``
+    re-check on every hit makes a stale-id collision impossible.
     The simulator's caches hand the same tail PMF objects back and PET
     entries are shared objects, so repeated folds -- the dropping
     heuristic re-walking a queue, machines of the same type evaluating the
@@ -180,8 +196,8 @@ class ChainFolder:
     mapping selection use the fast paths.
     """
 
-    __slots__ = ("prune_eps", "memo_limit", "memo_hits", "numerics",
-                 "_memo", "_rev", "_chance_memo", "_mean_memo",
+    __slots__ = ("memo_limit", "memo_hits", "numerics",
+                 "_memo", "_chance_memo", "_mean_memo",
                  "_memo_active", "_memo_probes",
                  "_cdf", "_rfft", "_append_chance_memo", "_fft_memo",
                  "_moments", "_prev_cums", "_append_mean_memo")
@@ -193,20 +209,14 @@ class ChainFolder:
     #: pressure; break-even sits near one hit per ten misses).
     MEMO_MIN_HIT_RATE = 0.10
 
-    def __init__(self, prune_eps: float = 1e-12, memo_limit: int = 1 << 13,
-                 numerics: str = "exact"):
+    def __init__(self, *, memo_limit: int = 1 << 13, numerics: str = "exact"):
         if numerics not in NUMERICS_PROFILES:
             raise ValueError(f"unknown numerics profile {numerics!r}; "
                              f"expected one of {NUMERICS_PROFILES}")
-        self.prune_eps = float(prune_eps)
         self.memo_limit = int(memo_limit)
         self.numerics = numerics
         self.memo_hits = 0
         self._memo: Dict[Tuple[int, int, int], Tuple[PMF, PMF, PMF]] = {}
-        #: id(exec_pmf) -> (exec_pmf, reversed probs); execution-time PMFs
-        #: are the small, endlessly reused convolution operands (PET matrix
-        #: entries), so their reversed copies are built once per run.
-        self._rev: Dict[int, Tuple[PMF, np.ndarray]] = {}
         #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); the dropping
         #: heuristic queries the same chance of success for the same chain
         #: PMF many times while re-walking influence zones.
@@ -247,16 +257,6 @@ class ChainFolder:
         self._append_mean_memo: Dict[Tuple[int, int, int],
                                      Tuple[PMF, PMF, float]] = {}
 
-    def _reversed(self, exec_pmf: PMF) -> np.ndarray:
-        """Reversed probability array of ``exec_pmf``, cached by identity."""
-        key = id(exec_pmf)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
-        hit = self._rev.get(key)
-        if hit is not None and hit[0] is exec_pmf:
-            return hit[1]
-        rev = exec_pmf.probs[::-1]
-        self._rev[key] = (exec_pmf, rev)
-        return rev
-
     # ------------------------------------------------------------------
     def fold(self, prev: PMF, exec_pmf: PMF, deadline: int) -> PMF:
         """Memoised equivalent of :func:`completion_pmf`.
@@ -269,26 +269,8 @@ class ChainFolder:
         """
         deadline = int(deadline)
         if not self._memo_active:
-            return _fold(prev, exec_pmf, deadline, self.prune_eps, self)
-        # The fold only reads the deadline through ``k = deadline - origin``
-        # clamped to the predecessor's support: every deadline at or beyond
-        # the support end produces the *same* plain convolution, and every
-        # deadline at or before the origin the same pass-through.  Clamping
-        # the memo key unifies those entries, so e.g. same-type candidates
-        # whose (distinct) deadlines all clear the queue tail share one
-        # memoised fold.
-        key_deadline = deadline
-        if not prev.is_empty:
-            origin = prev.origin
-            if deadline <= origin:
-                key_deadline = origin
-            else:
-                support_end = origin + prev.probs.size
-                if deadline >= support_end:
-                    key_deadline = support_end
-        else:
-            key_deadline = 0
-        key = (id(prev), id(exec_pmf), key_deadline)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
+            return _fold(prev, exec_pmf, deadline)
+        key = (id(prev), id(exec_pmf), _memo_deadline(prev, deadline))  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._memo.get(key)
         if hit is not None and hit[0] is prev and hit[1] is exec_pmf:
             self.memo_hits += 1
@@ -298,8 +280,8 @@ class ChainFolder:
                 and self.memo_hits < self._memo_probes * self.MEMO_MIN_HIT_RATE):
             self._memo_active = False
             self._memo.clear()
-            return _fold(prev, exec_pmf, deadline, self.prune_eps, self)
-        result = _fold(prev, exec_pmf, deadline, self.prune_eps, self)
+            return _fold(prev, exec_pmf, deadline)
+        result = _fold(prev, exec_pmf, deadline)
         if len(self._memo) >= self.memo_limit:
             self._evict_oldest(self._memo)
         self._memo[key] = (prev, exec_pmf, result)
@@ -335,15 +317,6 @@ class ChainFolder:
         self._mean_memo[key] = (pmf, value)
         return value
 
-    def fold_chain(self, base: PMF, entries: Sequence[QueueEntry]) -> List[PMF]:
-        """Fold a whole queue; ``result[k]`` completes ``entries[k]``."""
-        result: List[PMF] = []
-        prev = base
-        for entry in entries:
-            prev = self.fold(prev, entry.exec_pmf, entry.deadline)
-            result.append(prev)
-        return result
-
     # ------------------------------------------------------------------
     # Fast-numerics backend (``numerics="fast"``)
     # ------------------------------------------------------------------
@@ -351,9 +324,9 @@ class ChainFolder:
         """Prefix-sum CDF of ``exec_pmf``: ``cdf[j] = P(exec < origin + j)``.
 
         Length ``m + 1`` with ``cdf[0] == 0`` and ``cdf[m]`` the total mass;
-        cached by identity like the reversed operands -- execution PMFs are
-        shared PET entries, so one prefix sum per (task type, machine
-        type) pair serves every closed-form chance query of the run.
+        cached by identity -- execution PMFs are shared PET entries, so one
+        prefix sum per (task type, machine type) pair serves every
+        closed-form chance query of the run.
         """
         key = id(exec_pmf)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._cdf.get(key)
@@ -515,34 +488,21 @@ class ChainFolder:
         by the cached frequency-domain image of its execution PMF, and
         inverted in a single ``irfft``.  Each row is then clamped
         non-negative, renormalised to the exact product mass of its
-        operands, mixed with its reactive-drop branch and pruned at
-        ``prune_eps``, mirroring the exact kernel's mixture stage.  Results
-        differ from :meth:`fold` by at most
-        :data:`FAST_FOLD_SUP_NORM_TOL` per probability and are memoised
-        separately (``_fft_memo``) so the exact fold memo never serves
-        FFT-rounded values.
+        operands, mixed with its reactive-drop branch and pruned, mirroring
+        the exact kernel's mixture stage.  Results differ from :meth:`fold`
+        by at most :data:`FAST_FOLD_SUP_NORM_TOL` per probability and are
+        memoised separately (``_fft_memo``) so the exact fold memo never
+        serves FFT-rounded values.
         """
         n = len(exec_pmfs)
         results: List[PMF] = [None] * n  # type: ignore[list-item]
-        prune_eps = self.prune_eps
         pp = prev.probs
         po = prev.origin
-        support_end = po + pp.size
         pending: List[Tuple[int, Tuple[int, int, int], PMF, int]] = []
         for i in range(n):
             deadline = int(deadlines[i])
             ep_pmf = exec_pmfs[i]
-            # Same clamped-deadline key as :meth:`fold`: every deadline at
-            # or beyond the tail support is the same plain convolution.
-            if prev.is_empty:
-                key_deadline = 0
-            elif deadline <= po:
-                key_deadline = po
-            elif deadline >= support_end:
-                key_deadline = support_end
-            else:
-                key_deadline = deadline
-            key = (id(prev), id(ep_pmf), key_deadline)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
+            key = (id(prev), id(ep_pmf), _memo_deadline(prev, deadline))  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
             hit = self._fft_memo.get(key)
             if hit is not None and hit[0] is prev and hit[1] is ep_pmf:
                 self.memo_hits += 1
@@ -557,9 +517,9 @@ class ChainFolder:
         for i, key, ep_pmf, deadline in pending:
             k = deadline - po
             if prev.is_empty or k <= 0:
-                result = prev.pruned(prune_eps)
+                result = prev.pruned()
             elif ep_pmf.is_empty:
-                result = prev.split_at(deadline)[1].pruned(prune_eps)
+                result = prev.split_at(deadline)[1].pruned()
             else:
                 on_time = pp[:k] if k < pp.size else pp
                 if on_time[-1] == 0.0:
@@ -571,7 +531,7 @@ class ChainFolder:
                     # scaled copy, computed exactly (bit-identical to the
                     # exact kernel's elementwise multiply).
                     conv = on_time * ep[0] if ep.size == 1 else ep * on_time[0]
-                    result = _mix(conv, prev, ep_pmf.origin, k, self.prune_eps)
+                    result = _mix(conv, prev, ep_pmf.origin, k)
                 else:
                     conv_len = on_time.size + ep.size - 1
                     if conv_len > plan_len:
@@ -607,7 +567,7 @@ class ChainFolder:
             time_rows *= scales[:, None]
             for r, (i, key, ep_pmf, k, on_time, conv_len) in enumerate(batch):
                 conv = time_rows[r, :conv_len].copy()
-                result = _mix(conv, prev, ep_pmf.origin, k, self.prune_eps)
+                result = _mix(conv, prev, ep_pmf.origin, k)
                 results[i] = result
                 if len(self._fft_memo) >= self.memo_limit:
                     self._evict_oldest(self._fft_memo)
@@ -638,8 +598,7 @@ def active_folder(folder: Optional[ChainFolder]):
         _ACTIVE_FOLDER = outer
 
 
-def completion_pmf(prev_completion: PMF, exec_pmf: PMF, deadline: int,
-                   prune_eps: float = 1e-12) -> PMF:
+def completion_pmf(prev_completion: PMF, exec_pmf: PMF, deadline: int) -> PMF:
     """Completion-time PMF of a task queued behind ``prev_completion``.
 
     Implements Eq. 1 (and its provisional-dropping variants Eq. 4/5): the
@@ -657,29 +616,26 @@ def completion_pmf(prev_completion: PMF, exec_pmf: PMF, deadline: int,
         Execution-time PMF of the task being evaluated.
     deadline:
         Absolute deadline ``δ_i`` of the task being evaluated.
-    prune_eps:
-        Impulses below this mass are discarded from the result to bound the
-        support growth of chained convolutions.
 
     Notes
     -----
     This is the innermost loop of the whole simulator (it runs once per
     pending task per scheduler view), so the split/convolve/mixture/prune
     pipeline is fused into a single output buffer instead of chaining the
-    four equivalent :class:`PMF` operations.  When a :class:`ChainFolder`
-    with the same ``prune_eps`` is installed via :func:`active_folder`, the
-    call is served through its fold memo; either way the result is
-    bit-identical to the composed form.
+    four equivalent :class:`PMF` operations.  Impulses below
+    :data:`~repro.core.pmf.DEFAULT_PRUNE_EPS` are discarded to bound the
+    support growth of chained convolutions.  When a :class:`ChainFolder` is
+    installed via :func:`active_folder`, the call is served through its
+    fold memo; either way the result is bit-identical to the composed form.
     """
     folder = _ACTIVE_FOLDER
-    if folder is not None and folder.prune_eps == prune_eps:
+    if folder is not None:
         return folder.fold(prev_completion, exec_pmf, deadline)
-    return _fold(prev_completion, exec_pmf, int(deadline), prune_eps, None)
+    return _fold(prev_completion, exec_pmf, int(deadline))
 
 
 def batched_append_scores(prev: PMF, exec_pmfs: Sequence[PMF],
                           deadlines: Sequence[int],
-                          prune_eps: float = 1e-12,
                           folder: Optional[ChainFolder] = None,
                           want_mean: bool = True,
                           want_chance: bool = False,
@@ -744,7 +700,7 @@ def batched_append_scores(prev: PMF, exec_pmfs: Sequence[PMF],
         if folder is not None:
             pmf = folder.fold(prev, exec_pmfs[i], deadline)
         else:
-            pmf = _fold(prev, exec_pmfs[i], deadline, prune_eps, None)
+            pmf = _fold(prev, exec_pmfs[i], deadline)
         pmfs[i] = pmf
         if means is not None:
             means[i] = (folder.mean(pmf) if folder is not None
@@ -769,29 +725,7 @@ def chance_of_success(completion: PMF, deadline: int) -> float:
     return completion.mass_before(deadline)
 
 
-def fold_chain(base: PMF, entries: Sequence[QueueEntry],
-               prune_eps: float = 1e-12,
-               folder: Optional[ChainFolder] = None) -> List[PMF]:
-    """Completion-time PMFs of a queue, optionally through a fold kernel.
-
-    With ``folder`` (whose ``prune_eps`` must match) the chain runs through
-    the batched kernel; otherwise each step is a plain
-    :func:`completion_pmf` call.  Results are identical either way.
-    """
-    if folder is not None:
-        if folder.prune_eps != prune_eps:
-            raise ValueError("folder prune_eps does not match the chain's")
-        return folder.fold_chain(base, entries)
-    result: List[PMF] = []
-    prev = base
-    for entry in entries:
-        prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, prune_eps)
-        result.append(prev)
-    return result
-
-
-def queue_completion_pmfs(base: PMF, entries: Sequence[QueueEntry],
-                          prune_eps: float = 1e-12) -> List[PMF]:
+def queue_completion_pmfs(base: PMF, entries: Sequence[QueueEntry]) -> List[PMF]:
     """Completion-time PMFs of every pending task in a machine queue.
 
     Parameters
@@ -808,12 +742,16 @@ def queue_completion_pmfs(base: PMF, entries: Sequence[QueueEntry],
     list of PMF
         ``result[k]`` is the completion-time PMF of ``entries[k]``.
     """
-    return fold_chain(base, entries, prune_eps)
+    result: List[PMF] = []
+    prev = base
+    for entry in entries:
+        prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
+        result.append(prev)
+    return result
 
 
 def queue_completion_with_drops(base: PMF, entries: Sequence[QueueEntry],
-                                dropped: Sequence[int],
-                                prune_eps: float = 1e-12) -> List[Optional[PMF]]:
+                                dropped: Sequence[int]) -> List[Optional[PMF]]:
     """Completion PMFs when a subset of queue positions is provisionally dropped.
 
     Dropped positions contribute nothing to the chain (their execution time
@@ -839,6 +777,6 @@ def queue_completion_with_drops(base: PMF, entries: Sequence[QueueEntry],
         if idx in dropped_set:
             result.append(None)
             continue
-        prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, prune_eps)
+        prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
         result.append(prev)
     return result

@@ -45,16 +45,13 @@ class ProactiveHeuristicDropping(DroppingPolicy):
     eta:
         Effective depth ``η >= 1``: number of influence-zone tasks whose
         robustness gain may compensate the loss of the dropped task.
-    prune_eps:
-        Probability-mass pruning threshold forwarded to PMF chaining.
     """
 
     name = "heuristic"
     memoizable = True  # pure function of (base_pmf, entries)
     uses_pressure = False
 
-    def __init__(self, beta: float = DEFAULT_BETA, eta: int = DEFAULT_ETA,
-                 prune_eps: float = 1e-12):
+    def __init__(self, beta: float = DEFAULT_BETA, eta: int = DEFAULT_ETA):
         if not beta >= 1.0:  # also rejects NaN, which never drops
             raise ValueError("robustness improvement factor beta must be "
                              f">= 1, got {beta}")
@@ -63,7 +60,6 @@ class ProactiveHeuristicDropping(DroppingPolicy):
                              f"got {eta!r}")
         self.beta = float(beta)
         self.eta = int(eta)
-        self.prune_eps = float(prune_eps)
 
     def __repr__(self) -> str:
         return f"ProactiveHeuristicDropping(beta={self.beta}, eta={self.eta})"
@@ -111,7 +107,7 @@ class ProactiveHeuristicDropping(DroppingPolicy):
                 # prefix unchanged: task i vanishes from the chain.
             else:
                 prefix = completion_pmf(prefix, entries[i].exec_pmf,
-                                        entries[i].deadline, self.prune_eps)
+                                        entries[i].deadline)
 
         robustness_after = self._queue_robustness(
             view.base_pmf, [e for k, e in enumerate(entries) if k not in set(dropped)])
@@ -135,7 +131,7 @@ class ProactiveHeuristicDropping(DroppingPolicy):
             if skip is not None and n == skip:
                 probs.append(0.0)
                 continue
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, self.prune_eps)
+            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
             probs.append(chance_of_success(prev, entry.deadline))
         return probs
 
@@ -144,6 +140,6 @@ class ProactiveHeuristicDropping(DroppingPolicy):
         prev = base
         total = 0.0
         for entry in entries:
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, self.prune_eps)
+            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
             total += chance_of_success(prev, entry.deadline)
         return total

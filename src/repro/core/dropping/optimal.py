@@ -33,16 +33,13 @@ class OptimalProactiveDropping(DroppingPolicy):
     max_queue_length:
         Safety bound on the exhaustive search.  Queues longer than this raise
         ``ValueError`` instead of silently exploding (2^q growth).
-    prune_eps:
-        Probability-mass pruning threshold forwarded to PMF chaining.
     """
 
     name = "optimal"
     memoizable = True  # pure function of (base_pmf, entries)
     uses_pressure = False
 
-    def __init__(self, improvement_factor: float = 1.0, max_queue_length: int = 16,
-                 prune_eps: float = 1e-12):
+    def __init__(self, improvement_factor: float = 1.0, max_queue_length: int = 16):
         if not improvement_factor >= 1.0:  # also rejects NaN, which never drops
             raise ValueError("improvement_factor must be >= 1, "
                              f"got {improvement_factor}")
@@ -50,7 +47,6 @@ class OptimalProactiveDropping(DroppingPolicy):
             raise ValueError("max_queue_length must be positive")
         self.improvement_factor = float(improvement_factor)
         self.max_queue_length = int(max_queue_length)
-        self.prune_eps = float(prune_eps)
 
     def __repr__(self) -> str:
         return (f"OptimalProactiveDropping(improvement_factor="
@@ -68,7 +64,7 @@ class OptimalProactiveDropping(DroppingPolicy):
                 f"queue length {q} exceeds the exhaustive-search bound "
                 f"{self.max_queue_length}; use the heuristic policy instead")
 
-        baseline = instantaneous_robustness(view.base_pmf, entries, self.prune_eps)
+        baseline = instantaneous_robustness(view.base_pmf, entries)
         best_subset: Tuple[int, ...] = ()
         best_value = baseline
 
@@ -76,7 +72,7 @@ class OptimalProactiveDropping(DroppingPolicy):
         for size in range(1, len(droppable) + 1):
             for subset in combinations(droppable, size):
                 value = instantaneous_robustness_with_drops(
-                    view.base_pmf, entries, subset, self.prune_eps)
+                    view.base_pmf, entries, subset)
                 if self._better(value, best_value, len(subset), len(best_subset),
                                 baseline):
                     best_value = value

@@ -34,19 +34,16 @@ class ThresholdDropping(DroppingPolicy):
     threshold:
         Minimum acceptable chance of success in ``[0, 1]``.  Tasks strictly
         below it are dropped.
-    prune_eps:
-        Probability-mass pruning threshold forwarded to PMF chaining.
     """
 
     name = "threshold"
     memoizable = True  # pure function of (base_pmf, entries)
     uses_pressure = False
 
-    def __init__(self, threshold: float = 0.2, prune_eps: float = 1e-12):
+    def __init__(self, threshold: float = 0.2):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
         self.threshold = float(threshold)
-        self.prune_eps = float(prune_eps)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(threshold={self.threshold})"
@@ -76,12 +73,10 @@ class ThresholdDropping(DroppingPolicy):
         kept_prefix: PMF = view.base_pmf
         for idx, entry in enumerate(entries):
             # Bookkeeping of the no-drop robustness for reporting purposes.
-            kept_prefix = completion_pmf(kept_prefix, entry.exec_pmf, entry.deadline,
-                                         self.prune_eps)
+            kept_prefix = completion_pmf(kept_prefix, entry.exec_pmf, entry.deadline)
             before += chance_of_success(kept_prefix, entry.deadline)
 
-            candidate = completion_pmf(prefix, entry.exec_pmf, entry.deadline,
-                                       self.prune_eps)
+            candidate = completion_pmf(prefix, entry.exec_pmf, entry.deadline)
             p = chance_of_success(candidate, entry.deadline)
             if p < threshold:
                 dropped.append(idx)
@@ -106,9 +101,8 @@ class AdaptiveThresholdDropping(ThresholdDropping):
     memoizable = True  # pure function of (base_pmf, entries, pressure)
     uses_pressure = True
 
-    def __init__(self, base_threshold: float = 0.15, max_threshold: float = 0.6,
-                 prune_eps: float = 1e-12):
-        super().__init__(threshold=base_threshold, prune_eps=prune_eps)
+    def __init__(self, base_threshold: float = 0.15, max_threshold: float = 0.6):
+        super().__init__(threshold=base_threshold)
         if not 0.0 <= base_threshold <= max_threshold <= 1.0:
             raise ValueError("need 0 <= base_threshold <= max_threshold <= 1")
         self.base_threshold = float(base_threshold)

@@ -56,24 +56,22 @@ except ImportError:  # pragma: no cover
 _FULL_MODE = 2
 
 
-def _convolve_full(a: np.ndarray, ep: np.ndarray, ep_rev) -> np.ndarray:
+def _convolve_full(a: np.ndarray, ep: np.ndarray) -> np.ndarray:
     """Exactly ``np.convolve(a, ep)`` minus the Python wrapper overhead.
 
     ``np.convolve`` swaps its operands so the longer one comes first, then
     calls ``multiarray.correlate(long, short[::-1], 'full')``; this helper
-    replicates that dance bit-for-bit while letting the fold kernel pass a
-    *pre-reversed* execution-time operand (``ep_rev``), which ``np.convolve``
-    would otherwise re-reverse (and re-allocate) on every fold of a chain.
+    makes the same call, bit-for-bit, without the wrapper's argument
+    checks.
     """
     if _correlate is None:  # pragma: no cover - ancient numpy fallback
         return np.convolve(a, ep)
     if ep.size > a.size:
         return _correlate(ep, a[::-1], _FULL_MODE)
-    if ep_rev is None:
-        ep_rev = ep[::-1]
-    return _correlate(a, ep_rev, _FULL_MODE)
+    return _correlate(a, ep[::-1], _FULL_MODE)
 
-#: Probability mass below this value is discarded by :meth:`PMF.pruned`.
+#: Probability mass below this value is discarded by :meth:`PMF.pruned` and
+#: by every Eq. 1 fold (:mod:`repro.core.completion`).
 DEFAULT_PRUNE_EPS = 1e-12
 
 #: Shared storage of every zero-mass PMF built through the fast path.
@@ -447,7 +445,7 @@ class PMF:
         """
         if self.is_empty or other.is_empty:
             return PMF.empty()
-        probs = _convolve_full(self._probs, other._probs, None)
+        probs = _convolve_full(self._probs, other._probs)
         return PMF._trusted(self._origin + other._origin, probs)
 
     def conditional_at_least(self, t: int) -> "PMF":

@@ -24,23 +24,22 @@ __all__ = [
 ]
 
 
-def queue_success_probabilities(base: PMF, entries: Sequence[QueueEntry],
-                                prune_eps: float = 1e-12) -> List[float]:
+def queue_success_probabilities(base: PMF,
+                                entries: Sequence[QueueEntry]) -> List[float]:
     """Chance of success ``p_{ij}`` of every pending task in queue order."""
-    completions = queue_completion_pmfs(base, entries, prune_eps)
+    completions = queue_completion_pmfs(base, entries)
     return [chance_of_success(c, e.deadline) for c, e in zip(completions, entries)]
 
 
 def queue_success_probabilities_with_drops(base: PMF, entries: Sequence[QueueEntry],
-                                           dropped: Sequence[int],
-                                           prune_eps: float = 1e-12) -> List[float]:
+                                           dropped: Sequence[int]) -> List[float]:
     """Chances of success when a subset of positions is provisionally dropped.
 
     Dropped positions get a chance of success of ``0.0`` (a dropped task can
     no longer complete), matching the accounting of Eq. 7 where the dropped
     task is excluded from the sum.
     """
-    completions = queue_completion_with_drops(base, entries, dropped, prune_eps)
+    completions = queue_completion_with_drops(base, entries, dropped)
     probs: List[float] = []
     for completion, entry in zip(completions, entries):
         if completion is None:
@@ -50,18 +49,15 @@ def queue_success_probabilities_with_drops(base: PMF, entries: Sequence[QueueEnt
     return probs
 
 
-def instantaneous_robustness(base: PMF, entries: Sequence[QueueEntry],
-                             prune_eps: float = 1e-12) -> float:
+def instantaneous_robustness(base: PMF, entries: Sequence[QueueEntry]) -> float:
     """Instantaneous robustness ``R_j`` of a machine queue (Eq. 3)."""
-    return float(sum(queue_success_probabilities(base, entries, prune_eps)))
+    return float(sum(queue_success_probabilities(base, entries)))
 
 
 def instantaneous_robustness_with_drops(base: PMF, entries: Sequence[QueueEntry],
-                                        dropped: Sequence[int],
-                                        prune_eps: float = 1e-12) -> float:
+                                        dropped: Sequence[int]) -> float:
     """Instantaneous robustness ``R_j^{(D)}`` after dropping positions ``D`` (Eq. 7)."""
-    return float(sum(queue_success_probabilities_with_drops(base, entries, dropped,
-                                                            prune_eps)))
+    return float(sum(queue_success_probabilities_with_drops(base, entries, dropped)))
 
 
 def windowed_robustness(success_probs: Sequence[float], start: int, eta: int) -> float:
@@ -77,8 +73,7 @@ def windowed_robustness(success_probs: Sequence[float], start: int, eta: int) ->
 
 
 def windowed_robustness_with_drop(base: PMF, entries: Sequence[QueueEntry],
-                                  drop_index: int, eta: int,
-                                  prune_eps: float = 1e-12) -> float:
+                                  drop_index: int, eta: int) -> float:
     """Left-hand side window of Eq. 8: ``Σ_{n=i+1}^{i+η} p^{(i)}_{nj}``.
 
     Chance-of-success sum of the first ``eta`` tasks of the influence zone of
@@ -90,5 +85,5 @@ def windowed_robustness_with_drop(base: PMF, entries: Sequence[QueueEntry],
     if end <= drop_index:
         return 0.0
     probs = queue_success_probabilities_with_drops(base, entries[:end + 1],
-                                                   [drop_index], prune_eps)
+                                                   [drop_index])
     return float(sum(probs[drop_index + 1:end + 1]))

@@ -131,13 +131,10 @@ class ApproximateComputingPlanner:
         worth ``1 - quality_penalty`` of a full-quality completion.  Setting
         it to one makes degrading pointless; zero treats degraded output as
         as good as full output.
-    prune_eps:
-        Probability-mass pruning threshold for PMF chaining.
     """
 
     def __init__(self, beta: float = 1.0, eta: int = 2,
-                 degradation_factor: float = 0.5, quality_penalty: float = 0.25,
-                 prune_eps: float = 1e-12):
+                 degradation_factor: float = 0.5, quality_penalty: float = 0.25):
         if beta < 1.0:
             raise ValueError("beta must be >= 1")
         if eta < 1:
@@ -150,7 +147,6 @@ class ApproximateComputingPlanner:
         self.eta = int(eta)
         self.degradation_factor = float(degradation_factor)
         self.quality_penalty = float(quality_penalty)
-        self.prune_eps = float(prune_eps)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ApproximateComputingPlanner(beta={self.beta}, eta={self.eta}, "
@@ -207,15 +203,13 @@ class ApproximateComputingPlanner:
             if degrade_score > keep_score:
                 actions.append(TaskAction.DEGRADE)
                 effective_pmfs[i] = degraded
-                completion = completion_pmf(prefix, degraded, entry.deadline,
-                                            self.prune_eps)
+                completion = completion_pmf(prefix, degraded, entry.deadline)
                 quality_loss += (chance_of_success(completion, entry.deadline)
                                  * self.quality_penalty)
                 prefix = completion
                 continue
             actions.append(TaskAction.KEEP)
-            prefix = completion_pmf(prefix, entry.exec_pmf, entry.deadline,
-                                    self.prune_eps)
+            prefix = completion_pmf(prefix, entry.exec_pmf, entry.deadline)
 
         surviving = [e for i, e in enumerate(entries)
                      if actions[i] is not TaskAction.DROP]
@@ -251,11 +245,10 @@ class ApproximateComputingPlanner:
             if n == start:
                 if head_pmf is None:
                     continue
-                prev = completion_pmf(prev, head_pmf, entry.deadline, self.prune_eps)
+                prev = completion_pmf(prev, head_pmf, entry.deadline)
                 total += head_weight * chance_of_success(prev, entry.deadline)
             else:
-                prev = completion_pmf(prev, entry.exec_pmf, entry.deadline,
-                                      self.prune_eps)
+                prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
                 total += chance_of_success(prev, entry.deadline)
         return total
 
@@ -266,6 +259,6 @@ class ApproximateComputingPlanner:
         total = 0.0
         for idx, entry in enumerate(entries):
             exec_pmf = override_pmfs.get(idx, entry.exec_pmf)
-            prev = completion_pmf(prev, exec_pmf, entry.deadline, self.prune_eps)
+            prev = completion_pmf(prev, exec_pmf, entry.deadline)
             total += chance_of_success(prev, entry.deadline)
         return total

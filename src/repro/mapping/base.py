@@ -217,7 +217,7 @@ class MappingContext:
     :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).
     """
 
-    def __init__(self, pet: PETMatrix, now: int, prune_eps: float = 1e-12,
+    def __init__(self, pet: PETMatrix, now: int, *,
                  folder: Optional[ChainFolder] = None,
                  scoring: str = "vector",
                  small_plane_tasks: Optional[int] = None,
@@ -231,13 +231,10 @@ class MappingContext:
         #: locality automatically.  ``None`` keeps the raw PET behaviour.
         self._exec_view = exec_view
         self.now = int(now)
-        self.prune_eps = float(prune_eps)
         #: Vector-dispatch threshold override (``None`` = kernel default).
         self.small_plane_tasks = (None if small_plane_tasks is None
                                   else int(small_plane_tasks))
         self._cache: Dict[Tuple[int, int, int], PMF] = {}
-        if folder is not None and folder.prune_eps != self.prune_eps:
-            folder = None  # a mismatched kernel would change pruning
         self._folder = folder
         if scoring not in SCORING_BACKENDS:
             raise ValueError(f"unknown scoring backend {scoring!r}; "
@@ -288,7 +285,7 @@ class MappingContext:
                                     self.exec_pmf(task, machine), task.deadline)
         else:
             pmf = completion_pmf(machine.tail_pmf, self.exec_pmf(task, machine),
-                                 task.deadline, self.prune_eps)
+                                 task.deadline)
         self._cache[key] = pmf
         return pmf
 
@@ -372,8 +369,8 @@ class MappingContext:
             exec_pmfs = [self.exec_pmf(tasks[i], machine) for i in miss]
             deadlines = [tasks[i].deadline for i in miss]
             folded, f_means, f_chances = batched_append_scores(
-                machine.tail_pmf, exec_pmfs, deadlines, self.prune_eps,
-                self._folder, want_mean=want_mean, want_chance=want_chance)
+                machine.tail_pmf, exec_pmfs, deadlines, self._folder,
+                want_mean=want_mean, want_chance=want_chance)
             record = not self._fast
             for j, i in enumerate(miss):
                 pmf = folded[j]

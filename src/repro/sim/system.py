@@ -62,8 +62,6 @@ class SystemConfig:
     drop_expired_batch:
         When True, tasks whose deadlines pass while they are still unmapped
         are discarded from the batch queue at the next mapping event.
-    prune_eps:
-        Probability-mass pruning threshold used in all PMF chaining.
     max_steps:
         Safety bound forwarded to the event engine.
     incremental:
@@ -102,7 +100,6 @@ class SystemConfig:
     queue_capacity: int = 6
     batch_window: int = 32
     drop_expired_batch: bool = True
-    prune_eps: float = 1e-12
     max_steps: int = 50_000_000
     incremental: bool = True
     scoring: str = "vector"
@@ -114,8 +111,6 @@ class SystemConfig:
             raise ValueError("queue capacity must be at least 1")
         if self.batch_window < 1:
             raise ValueError("batch window must be at least 1")
-        if self.prune_eps < 0:
-            raise ValueError("prune_eps cannot be negative")
         if self.scoring not in SCORING_BACKENDS:
             raise ValueError(f"unknown scoring backend {self.scoring!r}; "
                              f"expected one of {SCORING_BACKENDS}")
@@ -339,8 +334,7 @@ class HCSystem:
         #: event loop so dropping policies share it; ``None`` on the naive
         #: path, which also *shields* the run from any outer folder.
         self._folder: Optional[ChainFolder] = (
-            ChainFolder(self.config.prune_eps,
-                        numerics=self.config.numerics)
+            ChainFolder(numerics=self.config.numerics)
             if self.config.incremental else None)
 
     # ------------------------------------------------------------------
@@ -657,8 +651,7 @@ class HCSystem:
         machine_states = [self._machine_state(machine, now) for machine in machines]
         window_ids = self.batch_queue.window(self.config.batch_window)
         task_views = [self._task_view(task_id) for task_id in window_ids]
-        ctx = MappingContext(self.pet, now, self.config.prune_eps,
-                             folder=self._folder,
+        ctx = MappingContext(self.pet, now, folder=self._folder,
                              scoring=self.config.scoring,
                              small_plane_tasks=self.config.small_plane_tasks,
                              exec_view=self._exec_view)
@@ -787,8 +780,7 @@ class HCSystem:
         exec_pmf = self._exec_pmf(task.type_id, machine)
         if self._folder is not None:
             return self._folder.fold(prev, exec_pmf, task.deadline)
-        return completion_pmf(prev, exec_pmf, task.deadline,
-                              self.config.prune_eps)
+        return completion_pmf(prev, exec_pmf, task.deadline)
 
     def _tail_pmf(self, machine: Machine, now: int) -> PMF:
         """Completion PMF of the machine queue's tail (Eq. 1 chained).

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .live_metrics import WindowStats
-from .service import StreamSpec, StreamingSimulation
+from .service import StreamSpec, StreamingSimulation, _require_mapping
 
 __all__ = ["StreamPlan"]
 
@@ -99,6 +99,7 @@ class StreamPlan:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "StreamPlan":
         """Rebuild a plan from :meth:`to_dict` output (strict keys)."""
+        _require_mapping(payload, "stream plan")
         unknown = sorted(set(payload) - set(_PLAN_KEYS))
         if unknown:
             raise ValueError(

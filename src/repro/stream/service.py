@@ -160,6 +160,7 @@ class StreamSpec:
         a hand-edited snapshot or stream plan cannot silently drop a
         parameter; the legacy ``incremental``/``scoring`` keys are dropped.
         """
+        _require_mapping(payload, "StreamSpec")
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(payload) - known - set(_LEGACY_KEYS))
         if unknown:
@@ -168,6 +169,13 @@ class StreamSpec:
                 f"accepted: {', '.join(sorted(known))}")
         return cls(**{key: value for key, value in payload.items()
                       if key in known})
+
+
+def _require_mapping(payload: object, what: str) -> None:
+    """Reject a JSON/TOML payload that is not an object (a list, a string)."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} payload must be a mapping, "
+                         f"got {type(payload).__name__}")
 
 
 class StreamingSimulation:

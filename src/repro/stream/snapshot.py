@@ -235,7 +235,22 @@ def snapshot_state(service: "StreamingSimulation") -> Dict[str, object]:
 def restore_state(payload: Mapping[str, object],
                   on_window: Optional[Callable[["WindowStats"], None]] = None,
                   chunk_tasks: int = 512) -> "StreamingSimulation":
-    """Rebuild a live service from :func:`snapshot_state` output."""
+    """Rebuild a live service from :func:`snapshot_state` output (a
+    non-object payload or a missing key raises ``ValueError``)."""
+    from .service import _require_mapping
+
+    _require_mapping(payload, "snapshot")
+    try:
+        return _restore(payload, on_window, chunk_tasks)
+    except KeyError as exc:
+        if type(exc) is not KeyError:  # registry typos carry their own hint
+            raise
+        raise ValueError(f"snapshot is missing key {exc.args[0]!r}") from None
+
+
+def _restore(payload: Mapping[str, object],
+             on_window: Optional[Callable[["WindowStats"], None]],
+             chunk_tasks: int) -> "StreamingSimulation":
     from .service import StreamingSimulation, StreamSpec
 
     marker = payload.get("format")

@@ -240,6 +240,12 @@ class TestPlanCommand:
         assert main(["plan", "describe", str(bad)]) == 2
         assert "execution.with_cost must be true or false, got 'no'" in \
             capsys.readouterr().err
+        for text, kind in (("[1, 2]", "list"), ('"s"', "str")):
+            bad.write_text(text)
+            assert main(["plan", "run", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"plan payload must be a mapping, got {kind}" in err
+            assert "Traceback" not in err
         bad = tmp_path / "bad.toml"
         for gamma in ("inf", "nan"):
             bad.write_text(f"[workload]\ngammas = [{gamma}]\n")

@@ -14,9 +14,8 @@ import pytest
 from repro.core.completion import (FAST_FOLD_SUP_NORM_TOL, ChainFolder,
                                    QueueEntry, active_folder,
                                    batched_append_scores, chance_of_success,
-                                   completion_pmf, fold_chain,
-                                   queue_completion_pmfs)
-from repro.core.pmf import EMPTY_PMF, PMF
+                                   completion_pmf, queue_completion_pmfs)
+from repro.core.pmf import DEFAULT_PRUNE_EPS, EMPTY_PMF, PMF
 
 
 def _random_pmf(rng, origin_lo=0, origin_hi=40, size_lo=1, size_hi=24,
@@ -30,7 +29,7 @@ def _random_pmf(rng, origin_lo=0, origin_hi=40, size_lo=1, size_hi=24,
 class TestFoldBitIdentity:
     def test_random_folds_match_completion_pmf(self):
         rng = np.random.default_rng(7)
-        folder = ChainFolder(prune_eps=1e-12)
+        folder = ChainFolder()
         for _ in range(300):
             prev = _random_pmf(rng, mass=float(rng.uniform(0.2, 1.0)))
             exec_pmf = _random_pmf(rng, origin_lo=1, origin_hi=12, size_hi=8)
@@ -57,12 +56,15 @@ class TestFoldBitIdentity:
         assert tail.identical(prev.split_at(11)[1])
 
     def test_pruning_matches(self):
-        folder = ChainFolder(prune_eps=1e-3)
-        prev = PMF(0, [0.9985, 0.0005, 0.001])
+        folder = ChainFolder()
+        prev = PMF(0, [1 - 6e-13, 5e-13, 1e-13])
         exec_pmf = PMF(1, [0.999, 0.001])
-        expected = completion_pmf(prev, exec_pmf, 2, prune_eps=1e-3)
+        expected = completion_pmf(prev, exec_pmf, 2)
         got = folder.fold(prev, exec_pmf, 2)
         assert got.identical(expected)
+        # The on-time convolution spans t = 1..3; its last bin (5e-16) is
+        # below the pruning threshold, so it is zeroed and trimmed.
+        assert got.origin == 1 and got.probs.size == 2
 
     def test_fold_chain_matches_queue_completion(self):
         rng = np.random.default_rng(11)
@@ -74,15 +76,18 @@ class TestFoldBitIdentity:
                               deadline=int(rng.integers(10, 120)))
                    for i in range(6)]
         expected = queue_completion_pmfs(base, entries)
-        got = fold_chain(base, entries, folder=folder)
+        with active_folder(folder):
+            got = queue_completion_pmfs(base, entries)
+        assert folder._memo
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.identical(e)
 
-    def test_fold_chain_rejects_mismatched_eps(self):
-        with pytest.raises(ValueError, match="prune_eps"):
-            fold_chain(PMF.delta(0), [], prune_eps=1e-6,
-                       folder=ChainFolder(prune_eps=1e-12))
+    def test_positional_options_are_rejected(self):
+        # The options are keyword-only: a stale positional pruning
+        # threshold must not bind to ``memo_limit``.
+        with pytest.raises(TypeError):
+            ChainFolder(1e-12)
 
 
 class TestMemo:
@@ -160,15 +165,6 @@ class TestActiveFolder:
                 completion_pmf(prev, exec_pmf, 20)
                 completion_pmf(prev, exec_pmf, 20)
             assert outer.memo_hits == 0
-
-    def test_mismatched_eps_bypasses_folder(self):
-        folder = ChainFolder(prune_eps=1e-12)
-        prev = PMF(0, [0.5, 0.5])
-        exec_pmf = PMF(3, [0.25, 0.75])
-        with active_folder(folder):
-            completion_pmf(prev, exec_pmf, 20, prune_eps=1e-6)
-            completion_pmf(prev, exec_pmf, 20, prune_eps=1e-6)
-        assert folder.memo_hits == 0
 
     def test_chance_of_success_routes_through_folder(self):
         folder = ChainFolder()
@@ -325,15 +321,16 @@ class TestFastFoldBatch:
             assert got.total_mass == pytest.approx(expected_mass, abs=1e-9)
 
     def test_prune_epsilon_applied(self):
-        eps = 1e-3
-        fast = ChainFolder(prune_eps=eps, numerics="fast")
-        exact = ChainFolder(prune_eps=eps)
-        prev = PMF(0, [0.4985, 0.0005, 0.25, 0.25, 0.001])
-        ep = PMF(1, [0.997, 0.001, 0.002])
+        fast = ChainFolder(numerics="fast")
+        exact = ChainFolder()
+        prev = PMF(0, [0.5 - 6e-13, 5e-13, 0.25, 0.25 - 1e-13, 1e-13])
+        ep = PMF(1, [1 - 3e-13, 2e-13, 1e-13])
         (got,) = fast.fold_batch(prev, [ep], [4])
-        assert ((got.probs == 0.0) | (got.probs >= eps)).all()
-        assert _sup_norm(got, exact.fold(prev, ep, 4)) \
-            <= FAST_FOLD_SUP_NORM_TOL
+        want = exact.fold(prev, ep, 4)
+        assert ((got.probs == 0.0) | (got.probs >= DEFAULT_PRUNE_EPS)).all()
+        # t = 2 holds ~6e-13 before pruning, on both kernels.
+        assert got.prob_at(2) == 0.0 and want.prob_at(2) == 0.0
+        assert _sup_norm(got, want) <= FAST_FOLD_SUP_NORM_TOL
 
     def test_degenerate_single_bin_operands_are_exact(self):
         fast = ChainFolder(numerics="fast")

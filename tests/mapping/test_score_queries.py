@@ -76,3 +76,10 @@ def test_fast_pair_scores_once(monkeypatch):
                                       task.deadline)
     assert chance == pytest.approx(exact.mass_before(task.deadline), abs=1e-9)
     assert mean == pytest.approx(exact.mean(), abs=1e-9)
+
+
+def test_context_options_are_keyword_only():
+    ctx, _, _ = make_pair("exact")
+    # A stale positional pruning threshold must not bind to ``folder``.
+    with pytest.raises(TypeError):
+        MappingContext(ctx.pet, 0, 1e-12)

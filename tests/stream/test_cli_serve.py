@@ -126,6 +126,42 @@ class TestServeErrors:
                      "--horizon", "1000"]) == 2
         assert "repro serve: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"),
+                                            ('"s"', "str")])
+    def test_non_object_payloads_report_cleanly(self, tmp_path, capsys,
+                                                text, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for argv, what in ((["--restore", str(path), "--horizon", "1000"],
+                            "snapshot"),
+                           (["--plan", str(path)], "stream plan")):
+            assert main(["serve", *argv]) == 2
+            err = capsys.readouterr().err
+            assert f"{what} payload must be a mapping, got {kind}" in err
+            assert "Traceback" not in err
+
+    def test_restore_names_a_missing_key(self, tmp_path, capsys):
+        snap = tmp_path / "svc.json"
+        assert main(["serve", "--horizon", "1000", "--snapshot", str(snap),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        payload = json.loads(snap.read_text())
+        no_task_id = json.loads(snap.read_text())
+        del no_task_id["tasks"][0]["id"]
+        for broken, key in ((no_task_id, "id"),
+                            ({**payload, "spec": [1]}, None),
+                            ({k: v for k, v in payload.items()
+                              if k != "counters"}, "counters")):
+            snap.write_text(json.dumps(broken))
+            assert main(["serve", "--restore", str(snap),
+                         "--horizon", "2000", "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if key is None:
+                assert "StreamSpec payload must be a mapping, got list" in err
+            else:
+                assert f"snapshot is missing key '{key}'" in err
+
     def test_uncertainty_param_requires_uncertainty(self, capsys):
         assert main(["serve", "--horizon", "1000",
                      "--uncertainty-param", "mean_latency=5"]) == 2
