@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..metrics.collector import aggregate_trials
 from ..sim.system import SystemConfig
 from ..workload.deadlines import check_gamma
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
@@ -299,14 +298,14 @@ class Simulation:
         return dict(self.build_plan().cells()[0].config)
 
     def run(self, label: Optional[str] = None) -> RunResult:
-        """Execute all trials and return an aggregated :class:`RunResult`."""
-        from ..experiments.runner import run_trials
+        """Execute all trials and return an aggregated :class:`RunResult`.
 
-        cell = self.build_plan().cells()[0]
-        trials = tuple(run_trials(cell.specs, self.n_jobs))
-        aggregate = aggregate_trials(trials, confidence=self.confidence_value)
-        return RunResult(label=label or cell.label, config=cell.config,
-                         specs=cell.specs, trials=trials, aggregate=aggregate)
+        The one-cell plan of :meth:`build_plan` runs through
+        :meth:`~repro.api.plan.ExperimentPlan.execute`, on a
+        :class:`~repro.experiments.runner.TrialPool` when ``n_jobs > 1``.
+        """
+        run = self.build_plan().execute().runs[0]
+        return replace(run, label=label) if label else run
 
     def build_plan(self, name: Optional[str] = None,
                    **axes: Sequence[Any]) -> "ExperimentPlan":

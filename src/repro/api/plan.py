@@ -629,6 +629,11 @@ class ExperimentPlan:
                             f"got {type(payload).__name__}")
         _check_keys(payload, ("name", "metrics", "workload", "grid",
                               "execution", "sweep_axes"), "plan")
+        for section in ("workload", "grid", "execution"):
+            value = payload.get(section, {})
+            if not isinstance(value, Mapping):
+                raise PlanError(f"plan {section} must be a table, "
+                                f"got {type(value).__name__}")
         workload = payload.get("workload", {})
         _check_keys(workload, _WORKLOAD_KEYS, "plan workload")
         grid = payload.get("grid", {})

@@ -2,7 +2,6 @@
 
 This module is the single source of truth for "what can I ask for by name?".
 The legacy entry points (:func:`repro.mapping.make_heuristic`,
-:func:`repro.experiments.runner.make_dropper`,
 :func:`repro.workload.scenario.build_scenario`) delegate here, so anything a
 user registers -- ::
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generic, Iterator, List, Optional,
                     Sequence, Tuple, TypeVar)
 
@@ -202,10 +202,6 @@ class Registry(Generic[T]):
     def names(self) -> List[str]:
         """Sorted canonical names and aliases."""
         return sorted(self._resolve)
-
-    def aliases_of(self, name: str) -> Tuple[str, ...]:
-        """Aliases of one canonical name."""
-        return self.get(name).aliases
 
     def describe(self, name: Optional[str] = None) -> str:
         """Help text: one entry, or an aligned table of the whole registry."""

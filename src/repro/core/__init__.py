@@ -13,7 +13,6 @@ from .robustness import (instantaneous_robustness,
                          instantaneous_robustness_with_drops,
                          queue_success_probabilities,
                          queue_success_probabilities_with_drops)
-from .zones import dependence_zone, effective_influence_zone, influence_zone
 
 __all__ = [
     "PMF",
@@ -28,7 +27,4 @@ __all__ = [
     "instantaneous_robustness_with_drops",
     "queue_success_probabilities",
     "queue_success_probabilities_with_drops",
-    "dependence_zone",
-    "influence_zone",
-    "effective_influence_zone",
 ]

@@ -219,7 +219,7 @@ class ChainFolder:
         self._memo: Dict[Tuple[int, int, int], Tuple[PMF, PMF, PMF]] = {}
         #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); the dropping
         #: heuristic queries the same chance of success for the same chain
-        #: PMF many times while re-walking influence zones.
+        #: PMF many times while re-walking its Eq. 8 windows.
         self._chance_memo: Dict[Tuple[int, int], Tuple[PMF, float]] = {}
         #: id(pmf) -> (pmf, mean); the mapping score plane asks for the
         #: expected completion of the same (memoised, identity-stable)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 from ..completion import QueueEntry
 from ..pmf import PMF
@@ -114,10 +114,6 @@ class DroppingPolicy(abc.ABC):
     @abc.abstractmethod
     def evaluate_queue(self, view: MachineQueueView) -> DropDecision:
         """Decide which pending tasks of ``view`` to drop proactively."""
-
-    def select_drops(self, view: MachineQueueView) -> List[int]:
-        """Convenience wrapper returning only the drop indices."""
-        return list(self.evaluate_queue(view).drop_indices)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

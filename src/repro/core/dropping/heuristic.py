@@ -21,6 +21,8 @@ from typing import List
 
 from ..completion import QueueEntry, chance_of_success, completion_pmf
 from ..pmf import PMF
+from ..robustness import (instantaneous_robustness,
+                          instantaneous_robustness_with_drops)
 from .base import DropDecision, DroppingPolicy, MachineQueueView
 
 __all__ = ["ProactiveHeuristicDropping", "DEFAULT_BETA", "DEFAULT_ETA"]
@@ -78,7 +80,7 @@ class ProactiveHeuristicDropping(DroppingPolicy):
         if q == 0:
             return DropDecision(drop_indices=())
 
-        robustness_before = self._queue_robustness(view.base_pmf, entries)
+        robustness_before = instantaneous_robustness(view.base_pmf, entries)
 
         dropped: List[int] = []
         # ``prefix`` is the completion PMF of the last surviving task ahead of
@@ -109,8 +111,8 @@ class ProactiveHeuristicDropping(DroppingPolicy):
                 prefix = completion_pmf(prefix, entries[i].exec_pmf,
                                         entries[i].deadline)
 
-        robustness_after = self._queue_robustness(
-            view.base_pmf, [e for k, e in enumerate(entries) if k not in set(dropped)])
+        robustness_after = instantaneous_robustness_with_drops(
+            view.base_pmf, entries, dropped)
         return DropDecision(drop_indices=dropped,
                             robustness_before=robustness_before,
                             robustness_after=robustness_after)
@@ -134,12 +136,3 @@ class ProactiveHeuristicDropping(DroppingPolicy):
             prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
             probs.append(chance_of_success(prev, entry.deadline))
         return probs
-
-    def _queue_robustness(self, base: PMF, entries: List[QueueEntry]) -> float:
-        """Instantaneous robustness of a full queue (for reporting)."""
-        prev = base
-        total = 0.0
-        for entry in entries:
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
-            total += chance_of_success(prev, entry.deadline)
-        return total

@@ -11,7 +11,7 @@ from the very same PMFs, which matches the paper's simulation methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -132,15 +132,6 @@ class PETMatrix:
         """Mean execution time over all task and machine types (``avg_all``)."""
         return float(self._means.mean())
 
-    def best_machine_type(self, task_type: int) -> int:
-        """Machine type with the smallest expected execution time."""
-        return int(np.argmin(self._means[int(task_type), :]))
-
-    def iter_entries(self) -> Iterable[Tuple[int, int, PMF]]:
-        """Iterate over ``(task_type, machine_type, pmf)`` triples."""
-        for (i, j), pmf in sorted(self.entries.items()):
-            yield i, j, pmf
-
     # ------------------------------------------------------------------
     # Heterogeneity diagnostics
     # ------------------------------------------------------------------
@@ -156,37 +147,6 @@ class PETMatrix:
             return False
         orders = [tuple(np.argsort(self._means[i, :])) for i in range(self.num_task_types)]
         return len(set(orders)) > 1
-
-    def heterogeneity_ratio(self) -> float:
-        """Max/min ratio of mean execution times across the whole matrix."""
-        return float(self._means.max() / self._means.min())
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_grid(cls, task_type_names: Sequence[str],
-                  machine_type_names: Sequence[str],
-                  grid: Sequence[Sequence[PMF]]) -> "PETMatrix":
-        """Build a PET matrix from a row-major nested list of PMFs."""
-        entries: Dict[Tuple[int, int], PMF] = {}
-        if len(grid) != len(task_type_names):
-            raise PETValidationError("grid row count must match task types")
-        for i, row in enumerate(grid):
-            if len(row) != len(machine_type_names):
-                raise PETValidationError("grid column count must match machine types")
-            for j, pmf in enumerate(row):
-                entries[(i, j)] = pmf
-        return cls(tuple(task_type_names), tuple(machine_type_names), entries)
-
-    def restrict_machine_types(self, machine_types: Sequence[int]) -> "PETMatrix":
-        """Return a PET matrix restricted to a subset of machine types."""
-        machine_types = [int(j) for j in machine_types]
-        names = tuple(self.machine_type_names[j] for j in machine_types)
-        entries = {(i, new_j): self.pmf(i, old_j)
-                   for i in range(self.num_task_types)
-                   for new_j, old_j in enumerate(machine_types)}
-        return PETMatrix(self.task_type_names, names, entries)
 
     def describe(self) -> str:
         """Human-readable summary of the matrix (means in time units)."""

@@ -331,31 +331,6 @@ class PMF:
         times = self._origin + np.arange(self._probs.size)
         return float(np.dot(times, self._probs) / self.total_mass)
 
-    def variance(self) -> float:
-        """Variance of the distribution (mass-normalised)."""
-        if self.is_empty:
-            raise ValueError("variance of an empty PMF is undefined")
-        times = self._origin + np.arange(self._probs.size, dtype=np.float64)
-        w = self._probs / self.total_mass
-        mu = float(np.dot(times, w))
-        return float(np.dot((times - mu) ** 2, w))
-
-    def std(self) -> float:
-        """Standard deviation of the distribution."""
-        return float(np.sqrt(self.variance()))
-
-    def quantile(self, q: float) -> int:
-        """Smallest value ``t`` with ``P(X <= t) >= q * total_mass``."""
-        if self.is_empty:
-            raise ValueError("quantile of an empty PMF is undefined")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be within [0, 1]")
-        target = q * self.total_mass
-        cum = np.cumsum(self._probs)
-        idx = int(np.searchsorted(cum, target - 1e-15, side="left"))
-        idx = min(idx, self._probs.size - 1)
-        return self._origin + idx
-
     # ------------------------------------------------------------------
     # Mass queries
     # ------------------------------------------------------------------
@@ -371,14 +346,6 @@ class PMF:
         if k >= self._probs.size:
             return self.total_mass
         return float(self._probs[:k].sum())
-
-    def mass_at_or_after(self, t: int) -> float:
-        """Probability mass at or after ``t`` (``P(X >= t)``)."""
-        return self.total_mass - self.mass_before(t)
-
-    def cdf(self, t: int) -> float:
-        """``P(X <= t)``."""
-        return self.mass_before(int(t) + 1)
 
     # ------------------------------------------------------------------
     # Structural operations
@@ -484,12 +451,6 @@ class PMF:
             return self
         return PMF._trusted(self._origin, np.where(mask, self._probs, 0.0))
 
-    def normalised(self) -> "PMF":
-        """Rescale to total mass one (raises on the empty PMF)."""
-        if self.is_empty:
-            raise ValueError("cannot normalise an empty PMF")
-        return PMF(self._origin, self._probs / self.total_mass)
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
@@ -537,7 +498,7 @@ class PMF:
     def __eq__(self, other: object) -> bool:  # pragma: no cover - trivial
         if not isinstance(other, PMF):
             return NotImplemented
-        return self.approx_equal(other, tol=0.0)
+        return self.identical(other)
 
     def __hash__(self):  # pragma: no cover - PMFs are not meant to be hashed
         return hash((self._origin, self._probs.tobytes()))

@@ -19,8 +19,6 @@ __all__ = [
     "queue_success_probabilities_with_drops",
     "instantaneous_robustness",
     "instantaneous_robustness_with_drops",
-    "windowed_robustness",
-    "windowed_robustness_with_drop",
 ]
 
 
@@ -58,32 +56,3 @@ def instantaneous_robustness_with_drops(base: PMF, entries: Sequence[QueueEntry]
                                         dropped: Sequence[int]) -> float:
     """Instantaneous robustness ``R_j^{(D)}`` after dropping positions ``D`` (Eq. 7)."""
     return float(sum(queue_success_probabilities_with_drops(base, entries, dropped)))
-
-
-def windowed_robustness(success_probs: Sequence[float], start: int, eta: int) -> float:
-    """Sum of chances of success over ``positions [start, start+η]`` inclusive.
-
-    This is the right-hand side window of Eq. 8
-    (``Σ_{n=i}^{i+η} p_{nj}``) computed from pre-computed per-task chances.
-    """
-    if eta < 0:
-        raise ValueError("effective depth must be non-negative")
-    end = min(start + eta, len(success_probs) - 1)
-    return float(sum(success_probs[start:end + 1]))
-
-
-def windowed_robustness_with_drop(base: PMF, entries: Sequence[QueueEntry],
-                                  drop_index: int, eta: int) -> float:
-    """Left-hand side window of Eq. 8: ``Σ_{n=i+1}^{i+η} p^{(i)}_{nj}``.
-
-    Chance-of-success sum of the first ``eta`` tasks of the influence zone of
-    ``drop_index`` when that task is provisionally dropped.
-    """
-    if eta < 0:
-        raise ValueError("effective depth must be non-negative")
-    end = min(drop_index + eta, len(entries) - 1)
-    if end <= drop_index:
-        return 0.0
-    probs = queue_success_probabilities_with_drops(base, entries[:end + 1],
-                                                   [drop_index])
-    return float(sum(probs[drop_index + 1:end + 1]))

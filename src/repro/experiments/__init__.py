@@ -10,8 +10,8 @@ from .figures import (DEFAULT_LEVELS, FigurePoint, FigureResult,
                       figure8_dropping_policies, figure9_cost,
                       figure10_transcoding, reactive_share_analysis)
 from .reporting import format_comparison, format_figure_table, format_series_summary
-from .runner import (DROPPER_REGISTRY, ConfigurationResult, TrialSpec, make_dropper,
-                     run_configuration, run_trial, run_trials)
+from .runner import (ConfigurationResult, TrialSpec, run_configuration,
+                     run_trial)
 
 __all__ = [
     "ExperimentConfig",
@@ -30,13 +30,10 @@ __all__ = [
     "format_figure_table",
     "format_series_summary",
     "format_comparison",
-    "DROPPER_REGISTRY",
     "TrialSpec",
     "ConfigurationResult",
-    "make_dropper",
     "run_configuration",
     "run_trial",
-    "run_trials",
     "DroppingAgreementReport",
     "PMFResolutionPoint",
     "ablation_optimal_vs_heuristic",

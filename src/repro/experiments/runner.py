@@ -6,8 +6,10 @@ trials can optionally be fanned out across worker processes
 (``ExperimentConfig.n_jobs > 1``); :func:`run_trial` materialises the
 scenario, builds the system, runs it and returns the collected metrics.
 
-:class:`TrialPool` is the persistent-pool sweep executor: it keeps worker
-processes warm across the grid cells of :meth:`Simulation.sweep`, shards
+:class:`TrialPool` is the only parallel trial executor: every
+:meth:`~repro.api.plan.ExperimentPlan.execute` with ``n_jobs > 1`` (and so
+``Simulation.run``, ``Simulation.sweep``, the figures and the CLI) runs on
+one.  It keeps worker processes warm across the grid cells, shards
 the (deduplicated) scenarios -- platform, PET tables, task streams --
 across its workers so each shard's initializer ships only the scenarios
 its assigned trials need (instead of the whole table to every worker),
@@ -26,7 +28,6 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 import numpy as np
 
 from ..api.axes import build_system
-from ..core.dropping import DroppingPolicy
 from ..cost.pricing import PricingModel
 from ..metrics.collector import (AggregateMetrics, TrialMetrics,
                                  collect_trial_metrics)
@@ -35,36 +36,8 @@ from ..sim.system import HCSystem
 from ..workload.scenario import Scenario, build_scenario
 from .config import ExperimentConfig
 
-__all__ = ["DROPPER_REGISTRY", "make_dropper", "TrialSpec", "run_trial",
-           "run_trials", "run_configuration", "ConfigurationResult",
-           "TrialPool"]
-
-
-def _legacy_dropper_factory(name: str):
-    """Factory delegating to the :data:`repro.api.registries.DROPPERS` registry."""
-    def factory(**params) -> DroppingPolicy:
-        from ..api.registries import DROPPERS
-        return DROPPERS.create(name, **params)
-    factory.__name__ = f"make_{name.replace('-', '_')}_dropper"
-    return factory
-
-
-#: Dropping-policy factories by registry name.  Read-only legacy view kept
-#: for backward compatibility -- mutating this dict has no effect; the
-#: canonical registry is :data:`repro.api.registries.DROPPERS` and anything
-#: registered there is automatically available to :func:`make_dropper` and
-#: the builder.
-DROPPER_REGISTRY = {
-    name: _legacy_dropper_factory(name)
-    for name in ("react", "none", "heuristic", "optimal", "threshold",
-                 "threshold-adaptive")
-}
-
-
-def make_dropper(name: str, **params) -> DroppingPolicy:
-    """Instantiate a dropping policy from its registry name."""
-    from ..api.registries import DROPPERS
-    return DROPPERS.create(name, **params)
+__all__ = ["TrialSpec", "run_trial", "run_configuration",
+           "ConfigurationResult", "TrialPool"]
 
 
 @dataclass(frozen=True)
@@ -296,24 +269,11 @@ def run_configuration(config: ExperimentConfig, scenario_name: str, level: str,
                                aggregate=run.aggregate)
 
 
-def _pool_chunksize(num_specs: int, workers: int, waves: int = 4) -> int:
-    """Specs per IPC round-trip when fanning trials out to worker processes.
-
-    One spec per round-trip serialises the pool on IPC; one giant chunk per
-    worker destroys load balancing.  Aiming for ``waves`` chunks per worker
-    keeps both costs small.
-    """
-    if num_specs <= 0 or workers <= 0:
-        return 1
-    return max(1, num_specs // (workers * waves))
-
-
 class TrialPool:
     """Persistent, scenario-sharded worker pool reused across sweep cells.
 
-    ``run_trials`` spins a fresh ``ProcessPoolExecutor`` up (and back down)
-    per call, which a grid sweep would pay once per cell; a ``TrialPool``
-    keeps the workers warm for its whole lifetime.  The constructor
+    The workers stay warm for the pool's whole lifetime, so a grid sweep
+    pays process start-up once, not once per cell.  The constructor
     de-duplicates the scenarios behind ``specs`` (cells sharing seeds share
     scenarios) and builds each distinct one once in the parent.
 
@@ -423,10 +383,6 @@ class TrialPool:
             raise
         return results
 
-    def run_trials(self, specs: Sequence[TrialSpec]) -> List[TrialMetrics]:
-        """Run one flat list of trials on the warm pool."""
-        return self.run_cells([list(specs)])[0]
-
     # ------------------------------------------------------------------
     def _shutdown(self, wait: bool, cancel_futures: bool = False) -> None:
         for pool in self._pools:
@@ -444,32 +400,3 @@ class TrialPool:
             self.close()
         else:
             self._shutdown(wait=False, cancel_futures=True)
-
-
-def run_trials(specs: Sequence[TrialSpec], n_jobs: int = 1) -> List[TrialMetrics]:
-    """Run trials sequentially or across worker processes.
-
-    Workers are capped at ``len(specs)`` (idle processes are pure overhead)
-    and specs are shipped in chunks (see :func:`_pool_chunksize`).  On
-    KeyboardInterrupt the queued work is cancelled immediately instead of
-    being drained, so Ctrl-C returns promptly.
-    """
-    specs = list(specs)
-    if n_jobs <= 1 or len(specs) <= 1:
-        return [run_trial(spec) for spec in specs]
-    workers = min(int(n_jobs), len(specs))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        results = list(pool.map(run_trial, specs,
-                                chunksize=_pool_chunksize(len(specs), workers)))
-    except BaseException:
-        # KeyboardInterrupt (or a worker failure): cancel queued chunks and
-        # propagate immediately rather than draining in-flight work.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results
-
-
-#: Backward-compatible alias of :func:`run_trials`.
-_run_trials = run_trials

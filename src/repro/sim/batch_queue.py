@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 __all__ = ["BatchQueue"]
 
@@ -75,11 +75,6 @@ class BatchQueue:
         except KeyError as exc:
             raise ValueError(f"task {task_id} is not in the batch queue") from exc
 
-    def remove_many(self, task_ids: Iterable[int]) -> None:
-        """Remove several tasks, ignoring ordering of the input."""
-        for task_id in list(task_ids):
-            self.remove(task_id)
-
     def pop_expired(self, now: int) -> List[int]:
         """Remove and return every queued task whose deadline is ``<= now``.
 
@@ -95,13 +90,6 @@ class BatchQueue:
                 del self._tasks[task_id]
                 expired.append(task_id)
         return expired
-
-    def peek_next_deadline(self) -> Optional[int]:
-        """Earliest deadline among queued tasks, or ``None`` when unknown."""
-        heap = self._deadline_heap
-        while heap and heap[0][2] not in self._tasks:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     def window(self, size: int) -> List[int]:
         """First ``size`` task ids in arrival order (the mapper's view)."""

@@ -92,10 +92,6 @@ class SimulationEngine:
         heapq.heappush(self._heap, (event.time, event.priority, self._sequence, event))
         self._sequence += 1
 
-    def peek_time(self) -> Optional[int]:
-        """Time of the next event, or ``None`` if the queue is empty."""
-        return self._heap[0][0] if self._heap else None
-
     # ------------------------------------------------------------------
     def pending_snapshot(self) -> List[Event]:
         """Pending events in dispatch order (time, priority, insertion).

@@ -192,9 +192,6 @@ class SimulationResult:
         return (self.num_proactive_drops + self.num_reactive_queue_drops
                 + self.num_batch_expired_drops)
 
-    def busy_time_by_machine(self) -> Dict[int, int]:
-        """Busy time (time units spent executing) per machine id."""
-        return {m.id: m.busy_time for m in self.machines}
 
 
 class HCSystem:

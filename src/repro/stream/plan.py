@@ -99,7 +99,7 @@ class StreamPlan:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "StreamPlan":
         """Rebuild a plan from :meth:`to_dict` output (strict keys)."""
-        _require_mapping(payload, "stream plan")
+        _require_mapping(payload, "stream plan payload")
         unknown = sorted(set(payload) - set(_PLAN_KEYS))
         if unknown:
             raise ValueError(

@@ -160,7 +160,7 @@ class StreamSpec:
         a hand-edited snapshot or stream plan cannot silently drop a
         parameter; the legacy ``incremental``/``scoring`` keys are dropped.
         """
-        _require_mapping(payload, "StreamSpec")
+        _require_mapping(payload, "StreamSpec payload")
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(payload) - known - set(_LEGACY_KEYS))
         if unknown:
@@ -172,9 +172,10 @@ class StreamSpec:
 
 
 def _require_mapping(payload: object, what: str) -> None:
-    """Reject a JSON/TOML payload that is not an object (a list, a string)."""
+    """Reject a JSON/TOML value that should be an object but is not (a
+    list, a string); ``what`` names the value in the error."""
     if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} payload must be a mapping, "
+        raise ValueError(f"{what} must be a mapping, "
                          f"got {type(payload).__name__}")
 
 

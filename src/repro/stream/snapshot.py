@@ -236,10 +236,11 @@ def restore_state(payload: Mapping[str, object],
                   on_window: Optional[Callable[["WindowStats"], None]] = None,
                   chunk_tasks: int = 512) -> "StreamingSimulation":
     """Rebuild a live service from :func:`snapshot_state` output (a
-    non-object payload or a missing key raises ``ValueError``)."""
+    non-object payload or section, a missing key or an invalid RNG state
+    raises ``ValueError``)."""
     from .service import _require_mapping
 
-    _require_mapping(payload, "snapshot")
+    _require_mapping(payload, "snapshot payload")
     try:
         return _restore(payload, on_window, chunk_tasks)
     except KeyError as exc:
@@ -251,12 +252,14 @@ def restore_state(payload: Mapping[str, object],
 def _restore(payload: Mapping[str, object],
              on_window: Optional[Callable[["WindowStats"], None]],
              chunk_tasks: int) -> "StreamingSimulation":
-    from .service import StreamingSimulation, StreamSpec
+    from .service import StreamingSimulation, StreamSpec, _require_mapping
 
     marker = payload.get("format")
     if marker != SNAPSHOT_FORMAT:
         raise ValueError(f"not a stream snapshot (format {marker!r}; "
                          f"expected {SNAPSHOT_FORMAT!r})")
+    for key in ("spec", "engine", "counters", "perf", "rng_state"):
+        _require_mapping(payload[key], f"snapshot {key}")
     spec = StreamSpec.from_dict(payload["spec"])
     service = StreamingSimulation(spec, on_window=on_window,
                                   chunk_tasks=chunk_tasks)
@@ -271,11 +274,13 @@ def _restore(payload: Mapping[str, object],
     # Tasks, machines and the batch queue (FIFO order preserved so expiry
     # tie-breaking reproduces exactly).
     system.tasks.clear()
-    for entry in payload["tasks"]:
+    for i, entry in enumerate(payload["tasks"]):
+        _require_mapping(entry, f"snapshot tasks[{i}]")
         task = _task_from_dict(entry)
         system.tasks[task.id] = task
     machines_by_id = {m.id: m for m in system.machines}
-    for entry in payload["machines"]:
+    for i, entry in enumerate(payload["machines"]):
+        _require_mapping(entry, f"snapshot machines[{i}]")
         machine = machines_by_id.get(int(entry["id"]))
         if machine is None:
             raise ValueError(f"snapshot references unknown machine "
@@ -301,9 +306,12 @@ def _restore(payload: Mapping[str, object],
     # RNG: the PCG64 state dict round-trips through JSON exactly (plain
     # Python integers), so execution sampling continues draw-for-draw.
     state = dict(payload["rng_state"])
-    if isinstance(state.get("state"), Mapping):
-        state["state"] = {k: int(v) for k, v in state["state"].items()}
-    system.rng.bit_generator.state = state
+    try:
+        if isinstance(state.get("state"), Mapping):
+            state["state"] = {k: int(v) for k, v in state["state"].items()}
+        system.rng.bit_generator.state = state
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"snapshot rng_state is invalid: {exc}") from None
 
     # Engine: replay the pending events (already in dispatch order) into
     # the fresh heap; new sequence numbers preserve the tie-breaking.

@@ -240,11 +240,18 @@ class TestPlanCommand:
         assert main(["plan", "describe", str(bad)]) == 2
         assert "execution.with_cost must be true or false, got 'no'" in \
             capsys.readouterr().err
-        for text, kind in (("[1, 2]", "list"), ('"s"', "str")):
+        for text, message in (
+                ("[1, 2]", "plan payload must be a mapping, got list"),
+                ('"s"', "plan payload must be a mapping, got str"),
+                ('{"workload": [1, 2]}',
+                 "plan workload must be a table, got list"),
+                ('{"grid": "x"}', "plan grid must be a table, got str"),
+                ('{"execution": 3}',
+                 "plan execution must be a table, got int")):
             bad.write_text(text)
             assert main(["plan", "run", str(bad)]) == 2
             err = capsys.readouterr().err
-            assert f"plan payload must be a mapping, got {kind}" in err
+            assert message in err
             assert "Traceback" not in err
         bad = tmp_path / "bad.toml"
         for gamma in ("inf", "nan"):

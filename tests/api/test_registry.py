@@ -34,7 +34,7 @@ class TestRegistryBasics:
         reg.add("box", dict, aliases=("crate", "carton"))
         assert reg.get("crate") is reg.get("box")
         assert reg.get("carton").name == "box"
-        assert reg.aliases_of("box") == ("crate", "carton")
+        assert reg.get("box").aliases == ("crate", "carton")
         # list() holds canonical names only; names() includes aliases.
         assert reg.list() == ["box"]
         assert reg.names() == ["box", "carton", "crate"]
@@ -123,21 +123,10 @@ class TestBuiltinRegistries:
 
     def test_legacy_entry_points_delegate(self):
         """Custom registrations are visible through the legacy factories."""
-        from repro.experiments.runner import make_dropper
         from repro.mapping import make_heuristic
 
         MAPPERS.add("_test_mm", MinMin, params=())
-        DROPPERS.add("_test_react", NoProactiveDropping, params=())
         try:
             assert isinstance(make_heuristic("_test_mm"), MinMin)
-            assert isinstance(make_dropper("_test_react"), NoProactiveDropping)
         finally:
             MAPPERS.unregister("_test_mm")
-            DROPPERS.unregister("_test_react")
-
-    def test_legacy_dropper_registry_keys(self):
-        from repro.experiments.runner import DROPPER_REGISTRY
-
-        assert set(DROPPER_REGISTRY) == {"react", "none", "heuristic", "optimal",
-                                         "threshold", "threshold-adaptive"}
-        assert isinstance(DROPPER_REGISTRY["react"](), NoProactiveDropping)

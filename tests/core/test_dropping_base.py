@@ -47,7 +47,6 @@ class TestNoProactiveDropping:
         view = MachineQueueView(machine_id=0, now=0, base_pmf=PMF.delta(0),
                                 entries=(entry(0, 1), entry(1, 2)))
         assert policy.evaluate_queue(view).drop_indices == ()
-        assert policy.select_drops(view) == []
 
     def test_name(self):
         assert NoProactiveDropping().name == "react-only"

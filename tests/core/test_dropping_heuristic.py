@@ -142,10 +142,6 @@ class TestDecisions:
         assert decision.robustness_before == pytest.approx(0.0)
         assert decision.robustness_after == pytest.approx(2.0)
 
-    def test_select_drops_wrapper(self):
-        entries = [entry(0, 90, 50), entry(1, 10, 60), entry(2, 10, 70)]
-        assert ProactiveHeuristicDropping().select_drops(view(entries)) == [0]
-
 
 class TestStochasticQueues:
     def test_drop_indices_sorted_and_unique(self):

@@ -85,17 +85,6 @@ class TestLookups:
         pet = make_pet()
         assert pet.overall_mean() == pytest.approx(25.0)
 
-    def test_best_machine_type(self):
-        pet = make_pet(means=[[10, 5], [3, 40]])
-        assert pet.best_machine_type(0) == 1
-        assert pet.best_machine_type(1) == 0
-
-    def test_iter_entries(self):
-        pet = make_pet()
-        entries = list(pet.iter_entries())
-        assert len(entries) == 4
-        assert entries[0][:2] == (0, 0)
-
 
 class TestHeterogeneity:
     def test_inconsistent_heterogeneity_detected(self):
@@ -111,30 +100,8 @@ class TestHeterogeneity:
                        means=[[10], [20]])
         assert not pet.is_inconsistently_heterogeneous()
 
-    def test_heterogeneity_ratio(self):
-        pet = make_pet(means=[[10, 20], [30, 40]])
-        assert pet.heterogeneity_ratio() == pytest.approx(4.0)
-
 
 class TestConstructionHelpers:
-    def test_from_grid(self):
-        grid = [[PMF.delta(5), PMF.delta(6)], [PMF.delta(7), PMF.delta(8)]]
-        pet = PETMatrix.from_grid(("a", "b"), ("x", "y"), grid)
-        assert pet.mean_execution(1, 1) == pytest.approx(8.0)
-
-    def test_from_grid_shape_mismatch(self):
-        with pytest.raises(PETValidationError):
-            PETMatrix.from_grid(("a",), ("x", "y"), [[PMF.delta(5)]])
-        with pytest.raises(PETValidationError):
-            PETMatrix.from_grid(("a", "b"), ("x",), [[PMF.delta(5)]])
-
-    def test_restrict_machine_types(self):
-        pet = make_pet(machine_names=("m0", "m1"), means=[[10, 20], [30, 40]])
-        restricted = pet.restrict_machine_types([1])
-        assert restricted.num_machine_types == 1
-        assert restricted.machine_type_names == ("m1",)
-        assert restricted.mean_execution(0, 0) == pytest.approx(20.0)
-
     def test_describe_contains_names(self):
         pet = make_pet()
         text = pet.describe()

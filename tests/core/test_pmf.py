@@ -102,33 +102,13 @@ class TestFromSamples:
 
 
 class TestStatistics:
-    def test_mean_and_variance(self):
+    def test_mean(self):
         pmf = PMF.from_impulses([1, 2], [0.6, 0.4])
         assert pmf.mean() == pytest.approx(1.4)
-        assert pmf.variance() == pytest.approx(0.24)
-        assert pmf.std() == pytest.approx(0.24 ** 0.5)
 
     def test_mean_of_empty_raises(self):
         with pytest.raises(ValueError):
             PMF.empty().mean()
-
-    def test_variance_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            PMF.empty().variance()
-
-    def test_quantile(self):
-        pmf = PMF.from_impulses([10, 20, 30], [0.25, 0.5, 0.25])
-        assert pmf.quantile(0.0) == 10
-        assert pmf.quantile(0.25) == 10
-        assert pmf.quantile(0.5) == 20
-        assert pmf.quantile(1.0) == 30
-
-    def test_quantile_bounds(self):
-        pmf = PMF.delta(5)
-        with pytest.raises(ValueError):
-            pmf.quantile(1.5)
-        with pytest.raises(ValueError):
-            PMF.empty().quantile(0.5)
 
 
 class TestMassQueries:
@@ -139,17 +119,6 @@ class TestMassQueries:
         assert pmf.mass_before(12) == pytest.approx(0.5)
         assert pmf.mass_before(13) == pytest.approx(1.0)
         assert pmf.mass_before(100) == pytest.approx(1.0)
-
-    def test_mass_at_or_after(self):
-        pmf = PMF.from_impulses([10, 11, 12], [0.2, 0.3, 0.5])
-        assert pmf.mass_at_or_after(11) == pytest.approx(0.8)
-        assert pmf.mass_at_or_after(13) == pytest.approx(0.0)
-
-    def test_cdf(self):
-        pmf = PMF.from_impulses([1, 2, 3], [0.1, 0.2, 0.7])
-        assert pmf.cdf(0) == 0.0
-        assert pmf.cdf(2) == pytest.approx(0.3)
-        assert pmf.cdf(3) == pytest.approx(1.0)
 
     def test_paper_example_chance_of_success(self):
         # Fig. 2 of the paper: completion impulses 11,12,13,14 with deadline 13
@@ -216,12 +185,6 @@ class TestStructuralOps:
         b = PMF.delta(2)
         with pytest.raises(ValueError):
             a.add(b)
-
-    def test_normalised(self):
-        pmf = PMF.from_impulses([1, 2], [0.2, 0.2]).normalised()
-        assert pmf.total_mass == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            PMF.empty().normalised()
 
     def test_pruned(self):
         pmf = PMF.from_impulses([1, 2, 3], [0.5, 1e-15, 0.5 - 1e-15])

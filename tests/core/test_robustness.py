@@ -7,9 +7,7 @@ from repro.core.pmf import PMF
 from repro.core.robustness import (instantaneous_robustness,
                                    instantaneous_robustness_with_drops,
                                    queue_success_probabilities,
-                                   queue_success_probabilities_with_drops,
-                                   windowed_robustness,
-                                   windowed_robustness_with_drop)
+                                   queue_success_probabilities_with_drops)
 
 
 def entry(task_id, mean, deadline):
@@ -86,35 +84,3 @@ class TestInstantaneousRobustness:
         without = instantaneous_robustness(base, entries)
         with_drop = instantaneous_robustness_with_drops(base, entries, [0])
         assert with_drop > without
-
-
-class TestWindowedRobustness:
-    def test_window_sum(self):
-        probs = [0.1, 0.2, 0.3, 0.4]
-        assert windowed_robustness(probs, start=1, eta=2) == pytest.approx(0.9)
-
-    def test_window_clipped_at_end(self):
-        probs = [0.1, 0.2, 0.3]
-        assert windowed_robustness(probs, start=2, eta=5) == pytest.approx(0.3)
-
-    def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            windowed_robustness([0.5], 0, -1)
-
-    def test_windowed_with_drop_excludes_dropped(self):
-        base = PMF.delta(0)
-        entries = [entry(0, 30, 35), entry(1, 10, 45), entry(2, 10, 60)]
-        value = windowed_robustness_with_drop(base, entries, drop_index=0, eta=2)
-        # With task 0 dropped, tasks 1 and 2 finish at 10 and 20 -> both succeed.
-        assert value == pytest.approx(2.0)
-
-    def test_windowed_with_drop_of_last_task_is_zero(self):
-        base = PMF.delta(0)
-        entries = [entry(0, 10, 100), entry(1, 10, 100)]
-        assert windowed_robustness_with_drop(base, entries, drop_index=1, eta=2) == 0.0
-
-    def test_windowed_with_drop_negative_eta(self):
-        base = PMF.delta(0)
-        entries = [entry(0, 10, 100)]
-        with pytest.raises(ValueError):
-            windowed_robustness_with_drop(base, entries, 0, -2)

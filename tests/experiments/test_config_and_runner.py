@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.dropping import (AdaptiveThresholdDropping, NoProactiveDropping,
-                                 OptimalProactiveDropping,
-                                 ProactiveHeuristicDropping, ThresholdDropping)
 from repro.experiments.config import ExperimentConfig, bench_config
-from repro.experiments.runner import (DROPPER_REGISTRY, TrialSpec,
-                                      _pool_chunksize, make_dropper,
-                                      run_configuration, run_trial, run_trials)
+from repro.experiments.runner import TrialSpec, run_configuration, run_trial
 
 
 class TestExperimentConfig:
@@ -52,29 +47,6 @@ class TestExperimentConfig:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.02")
         config = bench_config(scale=0.05, trials=1)
         assert config.scale == 0.05 and config.trials == 1
-
-
-class TestDropperRegistry:
-    def test_known_policies(self):
-        assert isinstance(make_dropper("react"), NoProactiveDropping)
-        assert isinstance(make_dropper("none"), NoProactiveDropping)
-        assert isinstance(make_dropper("heuristic", beta=1.5, eta=3),
-                          ProactiveHeuristicDropping)
-        assert isinstance(make_dropper("optimal"), OptimalProactiveDropping)
-        assert isinstance(make_dropper("threshold", threshold=0.3), ThresholdDropping)
-        assert isinstance(make_dropper("threshold-adaptive"), AdaptiveThresholdDropping)
-
-    def test_parameters_forwarded(self):
-        dropper = make_dropper("heuristic", beta=2.0, eta=4)
-        assert dropper.beta == 2.0 and dropper.eta == 4
-
-    def test_unknown_policy(self):
-        with pytest.raises(KeyError):
-            make_dropper("nope")
-
-    def test_registry_complete(self):
-        assert set(DROPPER_REGISTRY) == {"react", "none", "heuristic", "optimal",
-                                         "threshold", "threshold-adaptive"}
 
 
 class TestTrialSpec:
@@ -152,36 +124,3 @@ class TestRunConfiguration:
         b = run_configuration(parallel, "spec", "20k", "MM", "react")
         assert a.aggregate.robustness_pct.mean == pytest.approx(
             b.aggregate.robustness_pct.mean)
-
-
-class TestRunTrialsPooling:
-    def make_specs(self, n):
-        return [TrialSpec(scenario_name="spec", level="20k", scale=0.002,
-                          gamma=1.0, queue_capacity=6, seed=100 + k,
-                          mapper_name="MM", dropper_name="react")
-                for k in range(n)]
-
-    def test_chunksize_batches_ipc_round_trips(self):
-        # One spec per round-trip only when the pool is large relative to
-        # the work; otherwise several specs ship per chunk.
-        assert _pool_chunksize(1, 8) == 1
-        assert _pool_chunksize(8, 8) == 1
-        assert _pool_chunksize(64, 2) == 8
-        assert _pool_chunksize(1000, 4) == 62
-        # Degenerate inputs never produce an invalid chunk size.
-        assert _pool_chunksize(0, 4) == 1
-        assert _pool_chunksize(10, 0) == 1
-
-    def test_more_jobs_than_specs_matches_sequential(self):
-        # Workers are capped at len(specs); results must match the
-        # sequential path exactly (same seeds, same metrics).
-        specs = self.make_specs(2)
-        sequential = run_trials(specs, n_jobs=1)
-        pooled = run_trials(specs, n_jobs=8)
-        assert [m.makespan for m in pooled] == [m.makespan for m in sequential]
-        assert [m.robustness_pct for m in pooled] == \
-            [m.robustness_pct for m in sequential]
-
-    def test_generator_input_accepted(self):
-        metrics = run_trials(spec for spec in self.make_specs(2))
-        assert len(metrics) == 2

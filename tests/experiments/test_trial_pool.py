@@ -15,7 +15,7 @@ import pytest
 from repro.api import Simulation
 from repro.experiments.runner import (TrialPool, TrialSpec,
                                       build_scenario_for_spec, run_trial,
-                                      run_trials, scenario_key)
+                                      scenario_key)
 
 SCALE = 0.002  # ~40-60 tasks: heavily oversubscribed yet fast
 
@@ -81,24 +81,24 @@ class TestScenarioSharding:
         known = [_spec(seed=42)]
         with TrialPool(2, known) as pool:
             surprise = _spec(seed=99)
-            pooled = pool.run_trials([known[0], surprise])
+            pooled = pool.run_cells([[known[0], surprise]])[0]
         assert pooled == [run_trial(known[0]), run_trial(surprise)]
 
     def test_sharded_pool_matches_sequential_across_shards(self):
         specs = [_spec(seed=42), _spec(seed=43), _spec("MM", seed=42),
                  _spec("MM", seed=43)]
-        sequential = run_trials(specs, n_jobs=1)
+        sequential = [run_trial(s) for s in specs]
         with TrialPool(2, specs) as pool:
-            pooled = pool.run_trials(specs)
+            pooled = pool.run_cells([specs])[0]
         assert pooled == sequential
 
 
 class TestTrialPool:
     def test_pool_matches_sequential(self):
         specs = [_spec(seed=42), _spec(seed=43), _spec("MM", seed=42)]
-        sequential = run_trials(specs, n_jobs=1)
+        sequential = [run_trial(s) for s in specs]
         with TrialPool(2, specs) as pool:
-            pooled = pool.run_trials(specs)
+            pooled = pool.run_cells([specs])[0]
         assert pooled == sequential
 
     def test_run_cells_streams_and_keeps_grid_order(self):
@@ -139,11 +139,17 @@ class TestSweepIntegration:
 
     def test_parallel_sweep_matches_sequential(self, base):
         grid = {"mapper": ["PAM", "MM"], "dropper": ["react"]}
-        sequential = base.sweep(**grid)
-        parallel = base.parallel(2).sweep(**grid)
-        assert [r.label for r in sequential] == [r.label for r in parallel]
-        for s, p in zip(sequential, parallel):
-            assert s.trials == p.trials
+        # A plain run is a one-cell sweep through the same executor.
+        for execute in (lambda sim: list(sim.sweep(**grid)),
+                        lambda sim: [sim.run()]):
+            sequential = execute(base)
+            parallel = execute(base.parallel(2))
+            assert [r.label for r in sequential] == \
+                [r.label for r in parallel]
+            for s, p in zip(sequential, parallel):
+                assert s.trials == p.trials
+        assert base.run().trials == base.build_plan().execute().runs[0].trials
+        assert base.run(label="custom").label == "custom"
 
     def test_sweep_streams_results(self, base):
         streamed = []

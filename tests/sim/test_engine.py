@@ -88,12 +88,6 @@ class TestScheduling:
         assert engine.now == 9
         assert engine.dispatched_events == 10
 
-    def test_peek_time(self):
-        engine = SimulationEngine()
-        assert engine.peek_time() is None
-        engine.schedule(TaskArrival(time=7, task_id=0))
-        assert engine.peek_time() == 7
-
     def test_step_returns_event_or_none(self):
         engine = SimulationEngine()
         recorder = Recorder()

@@ -56,7 +56,7 @@ class TestScheduleBounds:
         with pytest.raises(ValueError):
             engine.schedule(TaskArrival(time=50, task_id=1))
         assert engine.pending_events == 1
-        assert engine.peek_time() == 150
+        assert engine.pending_snapshot()[0].time == 150
 
 
 class TestHorizonClock:

@@ -122,13 +122,6 @@ class TestBatchQueue:
         with pytest.raises(ValueError):
             q.remove(42)
 
-    def test_remove_many(self):
-        q = BatchQueue()
-        for i in range(5):
-            q.push(i)
-        q.remove_many([0, 3])
-        assert q.snapshot() == [1, 2, 4]
-
     def test_contains_and_iter(self):
         q = BatchQueue()
         q.push(7)
@@ -187,15 +180,6 @@ class TestBatchQueueExpiry:
         q.push(2, deadline=5)
         assert q.pop_expired(1000) == [2]
         assert 1 in q
-
-    def test_peek_next_deadline(self):
-        q = BatchQueue()
-        assert q.peek_next_deadline() is None
-        q.push(1, deadline=30)
-        q.push(2, deadline=10)
-        assert q.peek_next_deadline() == 10
-        q.remove(2)
-        assert q.peek_next_deadline() == 30
 
 
 class TestBatchQueueScaling:

@@ -146,21 +146,32 @@ class TestServeErrors:
                      "--quiet"]) == 0
         capsys.readouterr()
         payload = json.loads(snap.read_text())
-        no_task_id = json.loads(snap.read_text())
+        no_task_id, bad_task, bad_machine, bad_rng = (
+            json.loads(snap.read_text()) for _ in range(4))
         del no_task_id["tasks"][0]["id"]
-        for broken, key in ((no_task_id, "id"),
-                            ({**payload, "spec": [1]}, None),
-                            ({k: v for k, v in payload.items()
-                              if k != "counters"}, "counters")):
+        bad_task["tasks"][0] = 5
+        bad_machine["machines"][1] = "x"
+        bad_rng["rng_state"]["uinteger"] = 2 ** 70
+        for broken, message in (
+                (no_task_id, "snapshot is missing key 'id'"),
+                ({k: v for k, v in payload.items() if k != "counters"},
+                 "snapshot is missing key 'counters'"),
+                ({**payload, "spec": [1]},
+                 "snapshot spec must be a mapping, got list"),
+                ({**payload, "counters": [1, 2]},
+                 "snapshot counters must be a mapping, got list"),
+                ({**payload, "rng_state": None},
+                 "snapshot rng_state must be a mapping, got NoneType"),
+                (bad_task, "snapshot tasks[0] must be a mapping, got int"),
+                (bad_machine,
+                 "snapshot machines[1] must be a mapping, got str"),
+                (bad_rng, "snapshot rng_state is invalid: ")):
             snap.write_text(json.dumps(broken))
             assert main(["serve", "--restore", str(snap),
                          "--horizon", "2000", "--quiet"]) == 2
             err = capsys.readouterr().err
+            assert message in err
             assert "Traceback" not in err
-            if key is None:
-                assert "StreamSpec payload must be a mapping, got list" in err
-            else:
-                assert f"snapshot is missing key '{key}'" in err
 
     def test_uncertainty_param_requires_uncertainty(self, capsys):
         assert main(["serve", "--horizon", "1000",
