@@ -19,26 +19,29 @@ partially-configured builders can be shared and forked safely::
     sweep = base.sweep(mapper=["PAM", "MM"], dropper=["heuristic", "react"])
     print(sweep.summary())
 
-Names are validated against the :mod:`repro.api.registries` registries at
-call time (with did-you-mean suggestions), so typos fail fast rather than
-deep inside a run.  A builder compiles to the existing
-:class:`~repro.experiments.runner.TrialSpec` machinery; sweeps share the
-same ``base_seed`` across every grid point, so all configurations are
-evaluated on identical workload trials (same arrivals, same deadlines).
+A builder is a view over one :class:`~repro.api.plan.ExperimentPlan`
+(:attr:`Simulation.plan`), so it accepts exactly what a plan file accepts:
+names are validated against the :mod:`repro.api.registries` registries at
+call time (with did-you-mean suggestions) and numbers are type- and
+range-checked by the plan, so mistakes fail fast rather than deep inside a
+run.  Sweeps share the same ``base_seed`` across every grid point, so all
+configurations are evaluated on identical workload trials (same arrivals,
+same deadlines).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass, field, replace
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..sim.system import SystemConfig
-from ..workload.deadlines import check_gamma
-from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
-from .axes import AXES_BY_KEY, REGISTRY_AXES
-from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
+from .axes import AXES_BY_KEY, freeze_params
+from .plan import ExperimentPlan, PointSpec
+from .registries import ARRIVALS, SCENARIOS
 from .results import RunResult, SweepResult
+
+if TYPE_CHECKING:
+    from ..experiments.runner import TrialSpec
 
 __all__ = ["Simulation", "SWEEPABLE_AXES"]
 
@@ -47,43 +50,26 @@ SWEEPABLE_AXES: Tuple[str, ...] = ("scenario", "level", "mapper", "dropper",
                                    "scale", "gamma")
 
 
-def _freeze(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    """Sorted, hashable, picklable view of a keyword-parameter dict."""
-    return tuple(sorted(params.items()))
-
-
 @dataclass(frozen=True)
 class Simulation:
-    """Immutable description of a simulation configuration.
+    """Fluent view over one single-cell :class:`ExperimentPlan`.
 
     Instances are created with :meth:`Simulation.scenario` and refined with
-    the fluent methods below; ``run()`` executes the configuration and
-    ``sweep()`` evaluates a cartesian grid of variations.
+    the fluent methods below, each of which returns a new builder over a
+    copy of :attr:`plan` with some fields replaced; the plan's constructor
+    checks and coerces every value, exactly as it does for plan files.
+    ``run()`` executes the configuration and ``sweep()`` evaluates a
+    cartesian grid of variations.
     """
 
-    scenario_name: str = "spec"
-    scenario_params: Tuple[Tuple[str, Any], ...] = ()
-    level_name: str = "30k"
-    scale_value: float = 0.01
-    gamma_value: float = 1.0
-    queue_capacity_value: int = 6
-    batch_window_value: int = 32
-    mapper_name: str = "PAM"
-    mapper_params: Tuple[Tuple[str, Any], ...] = ()
-    dropper_name: str = "react"
-    dropper_params: Tuple[Tuple[str, Any], ...] = ()
-    num_trials: int = 1
-    base_seed: int = 0
-    n_jobs: int = 1
-    cost_enabled: bool = False
-    confidence_value: float = 0.95
-    numerics_profile: str = "exact"
-    uncertainty_name: str = "none"
-    uncertainty_params: Tuple[Tuple[str, Any], ...] = ()
-    faults_name: str = "none"
-    fault_params: Tuple[Tuple[str, Any], ...] = ()
-    topology_name: str = "uniform"
-    topology_params: Tuple[Tuple[str, Any], ...] = ()
+    plan: ExperimentPlan = field(
+        default_factory=lambda: ExperimentPlan(name="run"))
+
+    def __post_init__(self) -> None:
+        cells = self.plan.num_cells()
+        if cells != 1:
+            raise ValueError(f"a Simulation views a one-cell plan, got "
+                             f"{cells} cells; run a grid with plan.execute()")
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,41 +88,31 @@ class Simulation:
         ``num_machines`` for "homogeneous").
         """
         entry = SCENARIOS.get(name)  # raises with suggestions on typos
-        entry.validate({**params,
-                        **{k: v for k, v in (("level", level), ("scale", scale),
-                                             ("gamma", gamma),
-                                             ("queue_capacity", queue_capacity),
-                                             ("seed", seed))
-                           if v is not None}})
-        sim = cls(scenario_name=entry.name, scenario_params=_freeze(params))
-        if level is not None:
-            sim = sim.level(level)
-        if scale is not None:
-            sim = sim.scale(scale)
-        if gamma is not None:
-            sim = sim.gamma(gamma)
-        if queue_capacity is not None:
-            sim = sim.queue_capacity(queue_capacity)
-        if seed is not None:
-            sim = sim.seed(seed)
+        knobs = {k: v for k, v in (("level", level), ("scale", scale),
+                                   ("gamma", gamma),
+                                   ("queue_capacity", queue_capacity),
+                                   ("seed", seed))
+                 if v is not None}
+        entry.validate({**params, **knobs})
+        sim = cls()._with(scenarios=[{"name": entry.name, "params": params}])
+        for knob, value in knobs.items():
+            sim = getattr(sim, knob)(value)
         return sim
+
+    def _with(self, **changes: Any) -> "Simulation":
+        """A builder over a copy of the plan with ``changes`` applied."""
+        return replace(self, plan=replace(self.plan, **changes))
 
     # ------------------------------------------------------------------
     # Fluent configuration
     # ------------------------------------------------------------------
     def mapper(self, name: str, **params: Any) -> "Simulation":
         """Select the mapping heuristic by registry name."""
-        entry = MAPPERS.get(name)
-        entry.validate(params)
-        return replace(self, mapper_name=entry.name,
-                       mapper_params=_freeze(params))
+        return self._with(mappers=[{"name": name, "params": params}])
 
     def dropper(self, name: str, **params: Any) -> "Simulation":
         """Select the dropping policy by registry name."""
-        entry = DROPPERS.get(name)
-        entry.validate(params)
-        return replace(self, dropper_name=entry.name,
-                       dropper_params=_freeze(params))
+        return self._with(droppers=[{"name": name, "params": params}])
 
     def arrivals(self, name: str) -> "Simulation":
         """Select the arrival process used to generate the task stream.
@@ -144,10 +120,10 @@ class Simulation:
         The process is instantiated by the scenario with the rate implied by
         its oversubscription level, so it takes no free parameters here.
         """
-        entry = ARRIVALS.get(name)
-        scenario_params = dict(self.scenario_params)
-        scenario_params["arrival"] = entry.name
-        return replace(self, scenario_params=_freeze(scenario_params))
+        scenario = self.plan.scenarios[0]
+        params = {**dict(scenario.params), "arrival": ARRIVALS.get(name).name}
+        return self._with(scenarios=[{"name": scenario.name,
+                                      "params": params}])
 
     def uncertainty(self, name: str = "none", **params: Any) -> "Simulation":
         """Inject unmodelled execution delay by registry name.
@@ -192,51 +168,41 @@ class Simulation:
 
     def _bind_axis(self, key: str, name: str,
                    params: Mapping[str, Any]) -> "Simulation":
+        # Checked here so that typos raise the registry's own
+        # KeyError/TypeError rather than the plan's PlanError.
         axis = AXES_BY_KEY[key]
-        frozen = _freeze(params)
-        return replace(self, **{axis.spec_field: axis.validate(name, frozen),
-                                str(axis.params_key): frozen})
+        frozen = freeze_params(params, str(axis.params_key))
+        return self._with(**{key: axis.validate(name, frozen),
+                             str(axis.params_key): frozen})
 
     def level(self, level: str) -> "Simulation":
         """Set the oversubscription level label ("20k", "30k", "40k")."""
-        if level not in OVERSUBSCRIPTION_LEVELS:
-            raise ValueError(f"unknown oversubscription level {level!r}; "
-                             f"expected one of {sorted(OVERSUBSCRIPTION_LEVELS)}")
-        return replace(self, level_name=level)
+        return self._with(levels=[level])
 
     def scale(self, scale: float) -> "Simulation":
         """Set the fraction of the paper's task count to simulate."""
-        if not 0 < scale <= 1.0:
-            raise ValueError("scale must be within (0, 1]")
-        return replace(self, scale_value=float(scale))
+        return self._with(scales=[scale])
 
     def gamma(self, gamma: float) -> "Simulation":
         """Set the deadline slack coefficient."""
-        check_gamma(gamma)
-        return replace(self, gamma_value=float(gamma))
+        return self._with(gammas=[gamma])
 
     def queue_capacity(self, capacity: int) -> "Simulation":
         """Set the machine-queue capacity (including the running task)."""
-        if capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        return replace(self, queue_capacity_value=int(capacity))
+        return self._with(queue_capacity=capacity)
 
     def batch_window(self, window: int) -> "Simulation":
         """Set the mapper's batch-queue window size."""
-        if window < 1:
-            raise ValueError("batch window must be at least 1")
-        return replace(self, batch_window_value=int(window))
+        return self._with(batch_window=window)
 
     def trials(self, n: int, base_seed: Optional[int] = None) -> "Simulation":
         """Set the trial count; trial ``k`` uses seed ``base_seed + k``."""
-        if n < 1:
-            raise ValueError("need at least one trial")
-        seed = self.base_seed if base_seed is None else int(base_seed)
-        return replace(self, num_trials=int(n), base_seed=seed)
+        seed = self.plan.base_seed if base_seed is None else base_seed
+        return self._with(trials=n, base_seed=seed)
 
     def seed(self, base_seed: int) -> "Simulation":
         """Set the base workload seed without changing the trial count."""
-        return replace(self, base_seed=int(base_seed))
+        return self._with(base_seed=base_seed)
 
     def parallel(self, n_jobs: int) -> "Simulation":
         """Fan trials out over ``n_jobs`` worker processes (1 = sequential).
@@ -245,13 +211,11 @@ class Simulation:
         droppers / scenarios must be registered at import time of a module
         the workers also import (not interactively) to be resolvable there.
         """
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
-        return replace(self, n_jobs=int(n_jobs))
+        return self._with(n_jobs=n_jobs)
 
     def with_cost(self, enabled: bool = True) -> "Simulation":
         """Attach a cost report to every trial's metrics."""
-        return replace(self, cost_enabled=bool(enabled))
+        return self._with(with_cost=enabled)
 
     def numerics(self, profile: str = "exact") -> "Simulation":
         """Select the mapping-score arithmetic profile (``"exact"``/``"fast"``).
@@ -268,47 +232,35 @@ class Simulation:
         ``scoring``) this *is* a (tolerance-bounded) semantic switch, so it
         is serialised on plans whenever it is not ``"exact"``.
         """
-        SystemConfig(numerics=profile)
-        return replace(self, numerics_profile=profile)
+        return self._with(numerics=profile)
 
     def confidence(self, confidence: float) -> "Simulation":
         """Set the confidence level of aggregated intervals."""
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        return replace(self, confidence_value=float(confidence))
-
-    def configure(self, config: "ExperimentConfig") -> "Simulation":
-        """Apply an :class:`~repro.experiments.config.ExperimentConfig`."""
-        return replace(self, scale_value=config.scale, gamma_value=config.gamma,
-                       queue_capacity_value=config.queue_capacity,
-                       batch_window_value=config.batch_window,
-                       num_trials=config.trials, base_seed=config.base_seed,
-                       n_jobs=config.n_jobs,
-                       confidence_value=config.confidence)
+        return self._with(confidence=confidence)
 
     # ------------------------------------------------------------------
     # Compilation & execution
     # ------------------------------------------------------------------
     def build_specs(self) -> Tuple["TrialSpec", ...]:
         """Compile the configuration into picklable per-trial specs."""
-        return self.build_plan().cells()[0].specs
+        return self.plan.cells()[0].specs
 
     def describe_config(self) -> Dict[str, Any]:
         """The configuration as a plain dict (stored on results)."""
-        return dict(self.build_plan().cells()[0].config)
+        return dict(self.plan.cells()[0].config)
 
     def run(self, label: Optional[str] = None) -> RunResult:
         """Execute all trials and return an aggregated :class:`RunResult`.
 
-        The one-cell plan of :meth:`build_plan` runs through
+        The plan runs through
         :meth:`~repro.api.plan.ExperimentPlan.execute`, on a
         :class:`~repro.experiments.runner.TrialPool` when ``n_jobs > 1``.
         """
-        run = self.build_plan().execute().runs[0]
+        run = self.plan.execute().runs[0]
         return replace(run, label=label) if label else run
 
     def build_plan(self, name: Optional[str] = None,
-                   **axes: Sequence[Any]) -> "ExperimentPlan":
+                   **axes: Sequence[Any]) -> ExperimentPlan:
         """Compile the builder (plus optional sweep axes) into a plan.
 
         The returned :class:`~repro.api.plan.ExperimentPlan` is the
@@ -320,61 +272,32 @@ class Simulation:
         axis's parameters and a swept ``scenario`` keeps only the
         builder-level arrival-process choice.
         """
-        from .plan import ExperimentPlan, PointSpec
-
         unknown = sorted(set(axes) - set(SWEEPABLE_AXES))
         if unknown:
             raise ValueError(f"cannot sweep over {', '.join(map(repr, unknown))}; "
                              f"sweepable axes: {', '.join(SWEEPABLE_AXES)}")
         names = [axis for axis in SWEEPABLE_AXES if axis in axes]
+        values: Dict[str, Any] = {axis: list(axes[axis]) for axis in names}
         for axis in names:
-            if not list(axes[axis]):
+            if not values[axis]:
                 raise ValueError(f"axis {axis!r} has no values to sweep")
-
-        if "scenario" in axes:
+        if "scenario" in values:
             # Like the mapper/dropper axes, sweeping scenarios resets their
             # extra parameters (they are preset-specific); the builder-level
             # arrival-process choice is kept, as every preset accepts it.
-            arrival = {k: v for k, v in self.scenario_params
-                       if k == "arrival"}
-            scenarios = [PointSpec(name=str(v), params=_freeze(arrival))
-                         for v in axes["scenario"]]
-        else:
-            scenarios = [PointSpec(name=self.scenario_name,
-                                   params=self.scenario_params)]
-        if "mapper" in axes:
-            mappers = [PointSpec(name=str(v)) for v in axes["mapper"]]
-        else:
-            mappers = [PointSpec(name=self.mapper_name,
-                                 params=self.mapper_params)]
-        if "dropper" in axes:
-            droppers = [PointSpec(name=str(v)) for v in axes["dropper"]]
-        else:
-            droppers = [PointSpec(name=self.dropper_name,
-                                  params=self.dropper_params)]
-        return ExperimentPlan(
+            arrival = tuple((k, v) for k, v in self.plan.scenarios[0].params
+                            if k == "arrival")
+            values["scenario"] = [PointSpec(str(v), arrival)
+                                  for v in values["scenario"]]
+        for axis in ("mapper", "dropper"):
+            if axis in values:
+                values[axis] = [str(v) for v in values[axis]]
+        # Each sweepable axis is the plan field of the same name plus "s".
+        return replace(
+            self.plan,
             name=name if name is not None else ("sweep" if names else "run"),
-            scenarios=scenarios,
-            levels=(list(axes["level"]) if "level" in axes
-                    else [self.level_name]),
-            mappers=mappers,
-            droppers=droppers,
-            scales=(list(axes["scale"]) if "scale" in axes
-                    else [self.scale_value]),
-            gammas=(list(axes["gamma"]) if "gamma" in axes
-                    else [self.gamma_value]),
-            trials=self.num_trials,
-            base_seed=self.base_seed,
-            queue_capacity=self.queue_capacity_value,
-            batch_window=self.batch_window_value,
-            confidence=self.confidence_value,
-            with_cost=self.cost_enabled,
-            numerics=self.numerics_profile,
-            n_jobs=self.n_jobs,
             sweep_axes=tuple(names),
-            **{key: getattr(self, field) for axis in REGISTRY_AXES
-               for key, field in ((axis.plan_key, axis.spec_field),
-                                  (axis.params_key, axis.params_key))})
+            **{axis + "s": axis_values for axis, axis_values in values.items()})
 
     def sweep(self, on_result: Optional[Callable[[RunResult], None]] = None,
               **axes: Sequence[Any]) -> SweepResult:
@@ -407,7 +330,8 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
-        return (f"Simulation(scenario={self.scenario_name!r}, "
-                f"level={self.level_name!r}, mapper={self.mapper_name!r}, "
-                f"dropper={self.dropper_name!r}, trials={self.num_trials}, "
-                f"base_seed={self.base_seed})")
+        plan = self.plan
+        return (f"Simulation(scenario={plan.scenarios[0].name!r}, "
+                f"level={plan.levels[0]!r}, mapper={plan.mappers[0].name!r}, "
+                f"dropper={plan.droppers[0].name!r}, trials={plan.trials}, "
+                f"base_seed={plan.base_seed})")

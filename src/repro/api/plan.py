@@ -1,12 +1,13 @@
 """Declarative, serializable experiment plans.
 
 An :class:`ExperimentPlan` is the single description of an experiment grid
-that every entry point of the package compiles to: the fluent builder
-(:meth:`Simulation.build_plan` / :meth:`Simulation.sweep`), the figure
-harness (each figure compiles to one plan), the legacy
-:class:`~repro.experiments.config.ExperimentConfig` (a thin view over plan
-defaults) and the CLI (``repro plan run|resume|describe|export``; ``repro
-run`` flags compile to a plan internally).  A plan is immutable, validated
+that every entry point of the package compiles to: the fluent builder (a
+view over one plan, :attr:`Simulation.plan`, with :meth:`Simulation.sweep`
+replacing its swept axes), the figure harness (each figure compiles to one
+plan), :class:`~repro.experiments.config.ExperimentConfig` (a thin view
+over plan defaults, validated by building one) and the CLI (``repro plan
+run|resume|describe|export``; ``repro run`` flags compile to a plan
+internally).  A plan is immutable, validated
 at construction (names resolve through the :mod:`repro.api.registries`
 registries, so typos fail fast with did-you-mean suggestions) and
 round-trips losslessly through JSON and TOML::

@@ -10,8 +10,7 @@ from .figures import (DEFAULT_LEVELS, FigurePoint, FigureResult,
                       figure8_dropping_policies, figure9_cost,
                       figure10_transcoding, reactive_share_analysis)
 from .reporting import format_comparison, format_figure_table, format_series_summary
-from .runner import (ConfigurationResult, TrialSpec, run_configuration,
-                     run_trial)
+from .runner import TrialSpec, run_trial
 
 __all__ = [
     "ExperimentConfig",
@@ -31,8 +30,6 @@ __all__ = [
     "format_series_summary",
     "format_comparison",
     "TrialSpec",
-    "ConfigurationResult",
-    "run_configuration",
     "run_trial",
     "DroppingAgreementReport",
     "PMFResolutionPoint",

@@ -29,7 +29,6 @@ from ..core.pmf import PMF
 from ..core.robustness import instantaneous_robustness_with_drops
 from ..workload.pet_builder import GammaPETBuilder
 from .config import ExperimentConfig
-from .runner import run_configuration
 
 __all__ = ["DroppingAgreementReport", "ablation_optimal_vs_heuristic",
            "PMFResolutionPoint", "ablation_pmf_resolution",

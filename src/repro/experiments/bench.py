@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from ..metrics.collector import TrialMetrics, collect_trial_metrics
+from ..sim.fault_events import EXECUTION_SEED_OFFSET
 from .runner import TrialSpec, build_system_for_trial
 
 __all__ = ["run_crossover_benchmark", "format_crossover_table",
@@ -69,7 +70,7 @@ def run_crossover_benchmark(scale: float = 0.02, trials: int = 2,
         best = None
         metrics = None
         for _ in range(repeats):
-            rng = np.random.default_rng(spec.seed + 1_000_003)
+            rng = np.random.default_rng(spec.seed + EXECUTION_SEED_OFFSET)
             system = build_system_for_trial(scenario, spec, rng)
             start = time.perf_counter()
             result = system.run()

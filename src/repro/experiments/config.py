@@ -54,18 +54,7 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if not 0 < self.scale <= 1.0:
-            raise ValueError("scale must be within (0, 1]")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        if self.batch_window < 1:
-            raise ValueError("batch window must be at least 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+        self.plan()  # the plan checks every knob (raises PlanError)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy of the configuration with some fields replaced."""

@@ -31,11 +31,13 @@ results, recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig
-from .runner import ConfigurationResult
+
+if TYPE_CHECKING:  # repro.api.results imports this package
+    from ..api.results import RunResult
 
 __all__ = [
     "FigurePoint",
@@ -74,14 +76,16 @@ class FigurePoint:
     lower / upper:
         Confidence-interval bounds of the plotted metric.
     result:
-        Full configuration result backing the point.
+        The plan cell's :class:`~repro.api.results.RunResult` behind the
+        point (specs, per-trial metrics and aggregate), labelled with the
+        point's configuration name.
     """
 
     x: object
     value: float
     lower: float
     upper: float
-    result: ConfigurationResult
+    result: RunResult
 
 
 @dataclass
@@ -96,7 +100,7 @@ class FigureResult:
 
     # ------------------------------------------------------------------
     def add_point(self, series_name: str, x: object,
-                  result: ConfigurationResult, metric: str = "robustness") -> None:
+                  result: RunResult, metric: str = "robustness") -> None:
         """Append one configuration result to a series."""
         if metric == "robustness":
             ci = result.aggregate.robustness_pct
@@ -133,8 +137,8 @@ class FigureResult:
 # Plan execution helpers
 # ----------------------------------------------------------------------
 
-def _run_plan(plan) -> List[ConfigurationResult]:
-    """Execute a figure's plan and wrap each cell as a ConfigurationResult.
+def _run_plan(plan) -> List[RunResult]:
+    """Execute a figure's plan and return its cells' results.
 
     Results come back in grid order (the plan's canonical axis order), so
     the figure functions can zip them against the loops that generated the
@@ -142,15 +146,8 @@ def _run_plan(plan) -> List[ConfigurationResult]:
     (``"PAM+Heuristic"``); figures that need parameterised labels relabel
     the results they place.
     """
-    sweep = plan.execute()
-    return [ConfigurationResult(label=run.specs[0].label, specs=run.specs,
-                                aggregate=run.aggregate)
-            for run in sweep.runs]
-
-
-def _relabel(result: ConfigurationResult, label: str) -> ConfigurationResult:
-    return ConfigurationResult(label=label, specs=result.specs,
-                               aggregate=result.aggregate)
+    return [replace(run, label=run.specs[0].label)
+            for run in plan.execute().runs]
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +178,8 @@ def figure5_effective_depth(config: ExperimentConfig,
     for level in levels:
         series = f"{level} tasks"
         for eta in etas:
-            result = _relabel(next(results),
-                              f"{mapper}+Heuristic(eta={int(eta)})")
+            result = replace(next(results),
+                             label=f"{mapper}+Heuristic(eta={int(eta)})")
             fig.add_point(series, int(eta), result)
     return fig
 
@@ -217,8 +214,8 @@ def figure6_beta(config: ExperimentConfig,
     for level in levels:
         series = f"{level} tasks"
         for beta in betas:
-            result = _relabel(next(results),
-                              f"{mapper}+Heuristic(beta={float(beta)})")
+            result = replace(next(results),
+                             label=f"{mapper}+Heuristic(beta={float(beta)})")
             fig.add_point(series, float(beta), result)
     return fig
 
@@ -313,7 +310,7 @@ def figure8_dropping_policies(config: ExperimentConfig,
     results = iter(_run_plan(plan))
     for level in levels:
         for label in labels:
-            fig.add_point(label, level, _relabel(next(results), label))
+            fig.add_point(label, level, replace(next(results), label=label))
     return fig
 
 
@@ -350,7 +347,7 @@ def figure9_cost(config: ExperimentConfig,
     results = iter(_run_plan(fig9_plan(config, levels)))
     for level in levels:
         for label in labels:
-            fig.add_point(label, level, _relabel(next(results), label),
+            fig.add_point(label, level, replace(next(results), label=label),
                           metric="cost")
     return fig
 
@@ -451,7 +448,7 @@ def figure_churn_ranking(config: ExperimentConfig, level: str = "30k",
     churn = _run_plan(churn_plan(config, level, variant="churn", mtbf=mtbf,
                                  repair_mean=repair_mean, policy=policy))
 
-    def ranking(results: Sequence[ConfigurationResult]) -> List[str]:
+    def ranking(results: Sequence[RunResult]) -> List[str]:
         order = sorted(zip(labels, results),
                        key=lambda item: -item[1].aggregate.robustness_pct.mean)
         return [label for label, _ in order]
@@ -464,9 +461,9 @@ def figure_churn_ranking(config: ExperimentConfig, level: str = "30k",
         x_label="Mapper+Dropper",
         y_label="Tasks completed on time (%)")
     for label, result in zip(labels, clean):
-        fig.add_point("clean", label, _relabel(result, label))
+        fig.add_point("clean", label, replace(result, label=label))
     for label, result in zip(labels, churn):
-        fig.add_point("churn", label, _relabel(result, label))
+        fig.add_point("churn", label, replace(result, label=label))
     return fig
 
 
@@ -518,7 +515,7 @@ def figure_locality_ranking(config: ExperimentConfig, level: str = "30k",
                                      bandwidth=bandwidth, latency=latency,
                                      task_bytes=task_bytes))
 
-    def ranking(results: Sequence[ConfigurationResult]) -> List[str]:
+    def ranking(results: Sequence[RunResult]) -> List[str]:
         order = sorted(zip(labels, results),
                        key=lambda item: -item[1].aggregate.robustness_pct.mean)
         return [label for label, _ in order]
@@ -531,9 +528,9 @@ def figure_locality_ranking(config: ExperimentConfig, level: str = "30k",
         x_label="Mapper+Dropper",
         y_label="Tasks completed on time (%)")
     for label, result in zip(labels, uniform):
-        fig.add_point("uniform", label, _relabel(result, label))
+        fig.add_point("uniform", label, replace(result, label=label))
     for label, result in zip(labels, tiered):
-        fig.add_point("tiered", label, _relabel(result, label))
+        fig.add_point("tiered", label, replace(result, label=label))
     return fig
 
 

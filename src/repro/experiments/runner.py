@@ -29,15 +29,12 @@ import numpy as np
 
 from ..api.axes import build_system
 from ..cost.pricing import PricingModel
-from ..metrics.collector import (AggregateMetrics, TrialMetrics,
-                                 collect_trial_metrics)
-from ..sim.fault_events import FAULT_SEED_OFFSET
+from ..metrics.collector import TrialMetrics, collect_trial_metrics
+from ..sim.fault_events import EXECUTION_SEED_OFFSET, FAULT_SEED_OFFSET
 from ..sim.system import HCSystem
 from ..workload.scenario import Scenario, build_scenario
-from .config import ExperimentConfig
 
-__all__ = ["TrialSpec", "run_trial", "run_configuration",
-           "ConfigurationResult", "TrialPool"]
+__all__ = ["TrialSpec", "run_trial", "TrialPool"]
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,7 @@ def run_trial(spec: TrialSpec,
     # generation stream so that two configurations sharing a seed see the
     # same arrivals and deadlines.  The fault stream is decoupled from
     # both so enabling faults never perturbs arrivals or PET samples.
-    rng = np.random.default_rng(spec.seed + 1_000_003)
+    rng = np.random.default_rng(spec.seed + EXECUTION_SEED_OFFSET)
     fault_rng = np.random.default_rng(spec.seed + FAULT_SEED_OFFSET)
     system = build_system_for_trial(scenario, spec, rng, fault_rng=fault_rng)
     result = system.run()
@@ -223,50 +220,6 @@ def run_trial(spec: TrialSpec,
     if spec.with_cost:
         pricing = PricingModel.from_machine_types(scenario.platform.machine_types)
     return collect_trial_metrics(result, pricing=pricing)
-
-
-@dataclass(frozen=True)
-class ConfigurationResult:
-    """Aggregated outcome of one experiment configuration.
-
-    Attributes
-    ----------
-    label:
-        Configuration label (e.g. ``"PAM+Heuristic"``).
-    specs:
-        The trial specifications that were executed.
-    aggregate:
-        Cross-trial aggregation of the collected metrics.
-    """
-
-    label: str
-    specs: Tuple[TrialSpec, ...]
-    aggregate: AggregateMetrics
-
-
-def run_configuration(config: ExperimentConfig, scenario_name: str, level: str,
-                      mapper_name: str, dropper_name: str,
-                      dropper_params: Optional[Dict[str, float]] = None,
-                      with_cost: bool = False,
-                      label: Optional[str] = None) -> ConfigurationResult:
-    """Run all trials of one configuration and aggregate them.
-
-    Trials use seeds ``base_seed + k`` so that every configuration sharing an
-    :class:`ExperimentConfig` is evaluated on identical workload trials.
-    Implemented as a thin shim over the declarative plan funnel
-    (:meth:`ExperimentConfig.plan` + :meth:`ExperimentPlan.execute`), so
-    the legacy harness, the fluent builder and plan files all execute
-    configurations identically.
-    """
-    plan = config.plan(
-        name=f"{mapper_name}+{dropper_name}",
-        scenarios=[scenario_name], levels=[level], mappers=[mapper_name],
-        droppers=[{"name": dropper_name,
-                   "params": dict(dropper_params or {})}],
-        with_cost=with_cost)
-    run = plan.execute().runs[0]
-    return ConfigurationResult(label=label or run.label, specs=run.specs,
-                               aggregate=run.aggregate)
 
 
 class TrialPool:

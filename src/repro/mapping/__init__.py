@@ -11,22 +11,6 @@ from .msd import MSD
 from .pam import PAM
 from .sjf import SJF
 
-#: Mapping heuristics by short name.  Read-only legacy view kept for
-#: backward compatibility -- mutating this dict has no effect; the
-#: canonical registry is :data:`repro.api.registries.MAPPERS` and anything
-#: registered there is automatically available to :func:`make_heuristic`,
-#: the fluent builder and the CLI.
-HEURISTIC_REGISTRY = {
-    "MM": MinMin,
-    "MinMin": MinMin,
-    "MSD": MSD,
-    "PAM": PAM,
-    "FCFS": FCFS,
-    "SJF": SJF,
-    "EDF": EDF,
-}
-
-
 def make_heuristic(name: str, **params) -> MappingHeuristic:
     """Instantiate a mapping heuristic from its registry name."""
     from ..api.registries import MAPPERS
@@ -51,6 +35,5 @@ __all__ = [
     "FCFS",
     "SJF",
     "EDF",
-    "HEURISTIC_REGISTRY",
     "make_heuristic",
 ]

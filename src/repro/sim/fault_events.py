@@ -44,6 +44,7 @@ from .engine import SimulationEngine
 from .events import Event
 
 __all__ = [
+    "EXECUTION_SEED_OFFSET",
     "FAULT_SEED_OFFSET",
     "FaultEvent",
     "MachineCrash",
@@ -61,10 +62,16 @@ __all__ = [
     "FaultInjector",
 ]
 
+#: Added to the workload seed to derive the execution-time sampling stream.
+#: Batch trials and the streaming service use the same offset, so a stream
+#: and a trial sharing a seed draw execution times from the same state.
+EXECUTION_SEED_OFFSET = 1_000_003
+
 #: Added to the workload seed to derive the fault-process stream, so the
 #: fault schedule is decoupled from both the workload generation stream
-#: (``seed``) and the execution-sampling stream (``seed + 1_000_003``) as
-#: well as the streaming traffic stream (``seed + 7_919``).
+#: (``seed``) and the execution-sampling stream (``seed +
+#: EXECUTION_SEED_OFFSET``) as well as the streaming traffic stream
+#: (``seed + 7_919``).
 FAULT_SEED_OFFSET = 104_729
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..metrics.collector import TrialMetrics, collect_trial_metrics
-from ..sim.fault_events import FAULT_SEED_OFFSET
+from ..sim.fault_events import EXECUTION_SEED_OFFSET, FAULT_SEED_OFFSET
 from ..sim.system import SystemConfig
 from ..sim.task import Task
 from ..workload.arrivals import rate_for_oversubscription
@@ -41,11 +41,6 @@ __all__ = ["StreamSpec", "StreamingSimulation"]
 #: generation (seed) and execution sampling (seed + EXECUTION_SEED_OFFSET)
 #: so the three streams never alias.
 TRAFFIC_SEED_OFFSET = 7_919
-
-#: Seed offset of the execution-time sampling stream -- the same split the
-#: batch runner uses, so a streaming run and a batch trial sharing a seed
-#: draw execution times from the same generator state.
-EXECUTION_SEED_OFFSET = 1_000_003
 
 #: Engine switches older snapshots and stream plans carried; they never
 #: changed results, so they are read and dropped.
@@ -176,6 +171,14 @@ def _require_mapping(payload: object, what: str) -> None:
     list, a string); ``what`` names the value in the error."""
     if not isinstance(payload, Mapping):
         raise ValueError(f"{what} must be a mapping, "
+                         f"got {type(payload).__name__}")
+
+
+def _require_list(payload: object, what: str) -> None:
+    """Reject a JSON value that should be an array but is not (a number,
+    an object); ``what`` names the value in the error."""
+    if not isinstance(payload, (list, tuple)):
+        raise ValueError(f"{what} must be a list, "
                          f"got {type(payload).__name__}")
 
 

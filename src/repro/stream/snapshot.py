@@ -236,8 +236,8 @@ def restore_state(payload: Mapping[str, object],
                   on_window: Optional[Callable[["WindowStats"], None]] = None,
                   chunk_tasks: int = 512) -> "StreamingSimulation":
     """Rebuild a live service from :func:`snapshot_state` output (a
-    non-object payload or section, a missing key or an invalid RNG state
-    raises ``ValueError``)."""
+    non-object payload or section, a non-list section, a missing key or
+    an invalid RNG state raises ``ValueError`` naming its path)."""
     from .service import _require_mapping
 
     _require_mapping(payload, "snapshot payload")
@@ -252,14 +252,18 @@ def restore_state(payload: Mapping[str, object],
 def _restore(payload: Mapping[str, object],
              on_window: Optional[Callable[["WindowStats"], None]],
              chunk_tasks: int) -> "StreamingSimulation":
-    from .service import StreamingSimulation, StreamSpec, _require_mapping
+    from .service import (StreamingSimulation, StreamSpec, _require_list,
+                          _require_mapping)
 
     marker = payload.get("format")
     if marker != SNAPSHOT_FORMAT:
         raise ValueError(f"not a stream snapshot (format {marker!r}; "
                          f"expected {SNAPSHOT_FORMAT!r})")
-    for key in ("spec", "engine", "counters", "perf", "rng_state"):
+    for key in ("spec", "engine", "counters", "perf", "rng_state", "live"):
         _require_mapping(payload[key], f"snapshot {key}")
+    for key in ("tasks", "machines", "batch_queue"):
+        _require_list(payload[key], f"snapshot {key}")
+    _require_list(payload["engine"]["pending"], "snapshot engine.pending")
     spec = StreamSpec.from_dict(payload["spec"])
     service = StreamingSimulation(spec, on_window=on_window,
                                   chunk_tasks=chunk_tasks)
@@ -281,6 +285,7 @@ def _restore(payload: Mapping[str, object],
     machines_by_id = {m.id: m for m in system.machines}
     for i, entry in enumerate(payload["machines"]):
         _require_mapping(entry, f"snapshot machines[{i}]")
+        _require_list(entry["pending"], f"snapshot machines[{i}].pending")
         machine = machines_by_id.get(int(entry["id"]))
         if machine is None:
             raise ValueError(f"snapshot references unknown machine "
@@ -290,7 +295,11 @@ def _restore(payload: Mapping[str, object],
             pending=list(entry["pending"]),
             busy_time=int(entry["busy_time"]),
             started_tasks=int(entry["started_tasks"]))
-    for task_id, deadline in payload["batch_queue"]:
+    for i, pair in enumerate(payload["batch_queue"]):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"snapshot batch_queue[{i}] must be a "
+                             f"[task_id, deadline] pair, got {pair!r}")
+        task_id, deadline = pair
         system.batch_queue.push(int(task_id), int(deadline))
 
     counters = payload["counters"]
@@ -316,7 +325,10 @@ def _restore(payload: Mapping[str, object],
     # Engine: replay the pending events (already in dispatch order) into
     # the fresh heap; new sequence numbers preserve the tie-breaking.
     engine_state = payload["engine"]
-    pending_events = [_event_from_dict(e) for e in engine_state["pending"]]
+    pending_events = []
+    for i, entry in enumerate(engine_state["pending"]):
+        _require_mapping(entry, f"snapshot engine.pending[{i}]")
+        pending_events.append(_event_from_dict(entry))
     system.engine.load_state(
         now=int(engine_state["now"]),
         dispatched=int(engine_state["dispatched"]),

@@ -276,18 +276,6 @@ def transcoding_scenario(level: str = "20k", scale: float = 0.02, gamma: float =
                     pet=pet, tasks=tasks, arrival_rate=rate)
 
 
-#: Scenario builders by family name.  Read-only legacy view kept for
-#: backward compatibility -- mutating this dict has no effect; the
-#: canonical registry is :data:`repro.api.registries.SCENARIOS` and
-#: anything registered there is automatically available to
-#: :func:`build_scenario`, the fluent builder and the CLI.
-_SCENARIO_BUILDERS = {
-    "spec": spec_scenario,
-    "homogeneous": homogeneous_scenario,
-    "transcoding": transcoding_scenario,
-}
-
-
 def build_scenario(name: str, **kwargs) -> Scenario:
     """Build a scenario preset by family name ("spec", "homogeneous", ...)."""
     from ..api.registries import SCENARIOS

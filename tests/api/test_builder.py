@@ -1,11 +1,13 @@
 """Tests for the fluent Simulation builder, results and sweep determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import quick_run
-from repro.api import MAPPERS, RunResult, Simulation, SweepResult
+from repro.api import (MAPPERS, ExperimentPlan, RunResult, Simulation,
+                       SweepResult)
 from repro.api.results import METRICS
 from repro.experiments.runner import TrialSpec
 from repro.mapping import PAM
@@ -25,32 +27,40 @@ class TestBuilderConstruction:
     def test_fluent_methods_are_immutable(self):
         base = Simulation.scenario("spec")
         derived = base.mapper("MM").dropper("react").trials(5, base_seed=9)
-        assert base.mapper_name == "PAM"
-        assert base.num_trials == 1
-        assert derived.mapper_name == "MM"
-        assert derived.num_trials == 5
-        assert derived.base_seed == 9
+        assert base.plan.mappers[0].name == "PAM"
+        assert base.plan.trials == 1
+        assert derived.plan.mappers[0].name == "MM"
+        assert derived.plan.trials == 5
+        assert derived.plan.base_seed == 9
+
+    def test_builder_is_one_plan(self):
+        assert [f.name for f in dataclasses.fields(Simulation)] == ["plan"]
+        sim = Simulation.scenario("spec", level="20k").trials(2, base_seed=4)
+        assert sim.build_plan() == sim.plan
+        assert ExperimentPlan.from_dict(sim.plan.to_dict()) == sim.plan
+        with pytest.raises(ValueError, match="one-cell plan, got 2 cells"):
+            Simulation(ExperimentPlan(levels=["20k", "30k"]))
 
     def test_scenario_kwargs_split(self):
         sim = Simulation.scenario("homogeneous", level="20k", scale=0.01,
                                   num_machines=4)
-        assert sim.scenario_name == "homogeneous"
-        assert sim.level_name == "20k"
-        assert dict(sim.scenario_params) == {"num_machines": 4}
+        assert sim.plan.scenarios[0].name == "homogeneous"
+        assert sim.plan.levels == ("20k",)
+        assert dict(sim.plan.scenarios[0].params) == {"num_machines": 4}
 
     def test_scenario_seed_kwarg_becomes_base_seed(self):
         """seed= must map to the builder's seed knob, not scenario_params
         (where it would collide with run_trial's explicit seed argument)."""
         sim = Simulation.scenario("spec", seed=7, scale=TINY)
-        assert sim.base_seed == 7
-        assert dict(sim.scenario_params) == {}
+        assert sim.plan.base_seed == 7
+        assert dict(sim.plan.scenarios[0].params) == {}
         run = sim.mapper("PAM").dropper("react").run()
         assert run.specs[0].seed == 7
 
     def test_alias_names_canonicalised(self):
         sim = Simulation.scenario("spec").mapper("MinMin").dropper("none")
-        assert sim.mapper_name == "MM"
-        assert sim.dropper_name == "react"
+        assert sim.plan.mappers[0].name == "MM"
+        assert sim.plan.droppers[0].name == "react"
 
     def test_unknown_names_fail_fast_with_suggestions(self):
         with pytest.raises(KeyError) as err:
@@ -72,6 +82,14 @@ class TestBuilderConstruction:
             Simulation.scenario("spec").trials(0)
         with pytest.raises(ValueError):
             Simulation.scenario("spec").parallel(0)
+        # Checked as plan files check them: nothing truncates or coerces.
+        for method, value, key in (
+                ("trials", 2.5, "execution.trials"),
+                ("queue_capacity", 6.9, "workload.queue_capacity"),
+                ("batch_window", 31.7, "workload.batch_window"),
+                ("with_cost", "no", "execution.with_cost")):
+            with pytest.raises(ValueError, match=key):
+                getattr(Simulation.scenario("spec"), method)(value)
 
     def test_build_specs(self):
         specs = (Simulation.scenario("spec", level="30k", scale=0.01)

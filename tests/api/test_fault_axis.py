@@ -58,8 +58,8 @@ class TestBuilderHook:
     def test_builder_is_immutable(self):
         base = Simulation().scenario("spec")
         derived = base.faults("crash-restart")
-        assert base.faults_name == "none"
-        assert derived.faults_name == "crash-restart"
+        assert base.plan.faults == "none"
+        assert derived.plan.faults == "crash-restart"
 
 
 class TestPlanThreading:

@@ -59,8 +59,8 @@ class TestBuilderHook:
     def test_builder_is_immutable(self):
         base = Simulation().scenario("spec")
         derived = base.topology("star-uplink")
-        assert base.topology_name == "uniform"
-        assert derived.topology_name == "star-uplink"
+        assert base.plan.topology == "uniform"
+        assert derived.plan.topology == "star-uplink"
 
 
 class TestPlanThreading:

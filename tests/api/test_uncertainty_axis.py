@@ -70,8 +70,8 @@ class TestBuilderHook:
     def test_builder_is_immutable(self):
         base = Simulation().scenario("spec")
         derived = base.uncertainty("network_latency")
-        assert base.uncertainty_name == "none"
-        assert derived.uncertainty_name == "network_latency"
+        assert base.plan.uncertainty == "none"
+        assert derived.plan.uncertainty == "network_latency"
 
 
 class TestPlanThreading:

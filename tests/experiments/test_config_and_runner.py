@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig, bench_config
-from repro.experiments.runner import TrialSpec, run_configuration, run_trial
+from repro.experiments.runner import TrialSpec, run_trial
 
 
 class TestExperimentConfig:
@@ -101,26 +101,27 @@ class TestRunTrial:
         assert a.robustness.total_tasks == b.robustness.total_tasks
 
 
+def run_cell(config, mapper, dropper, params=None):
+    return config.plan(
+        levels=["20k"], mappers=[mapper],
+        droppers=[{"name": dropper, "params": params or {}}]
+    ).execute().runs[0]
+
+
 class TestRunConfiguration:
     def test_aggregates_requested_trials(self):
         config = ExperimentConfig(scale=0.002, trials=2, base_seed=5)
-        result = run_configuration(config, "spec", "20k", "PAM", "heuristic",
+        result = run_cell(config, "PAM", "heuristic",
                                    {"beta": 1.0, "eta": 2})
         assert result.aggregate.num_trials == 2
         assert len(result.specs) == 2
         assert result.specs[0].seed == 5 and result.specs[1].seed == 6
         assert result.label == "PAM+Heuristic"
 
-    def test_custom_label(self):
-        config = ExperimentConfig(scale=0.002, trials=1)
-        result = run_configuration(config, "spec", "20k", "PAM", "heuristic",
-                                   label="custom")
-        assert result.label == "custom"
-
     def test_parallel_jobs_give_same_answer(self):
         serial = ExperimentConfig(scale=0.002, trials=2, base_seed=3, n_jobs=1)
         parallel = serial.with_overrides(n_jobs=2)
-        a = run_configuration(serial, "spec", "20k", "MM", "react")
-        b = run_configuration(parallel, "spec", "20k", "MM", "react")
+        a = run_cell(serial, "MM", "react")
+        b = run_cell(parallel, "MM", "react")
         assert a.aggregate.robustness_pct.mean == pytest.approx(
             b.aggregate.robustness_pct.mean)

@@ -11,9 +11,13 @@ from repro.experiments.figures import (FigureResult, figure_plan,
                                        reactive_share_analysis)
 from repro.experiments.reporting import (format_comparison, format_figure_table,
                                          format_series_summary)
-from repro.experiments.runner import run_configuration
 
 TINY = ExperimentConfig(scale=0.002, trials=1, base_seed=11)
+
+
+def pam_react_run(config):
+    return config.plan(levels=["20k"], mappers=["PAM"],
+                       droppers=["react"]).execute().runs[0]
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +28,7 @@ def tiny_fig7a():
 class TestFigureResult:
     def test_add_point_and_rows(self):
         config = TINY
-        result = run_configuration(config, "spec", "20k", "PAM", "react")
+        result = pam_react_run(config)
         fig = FigureResult(figure_id="x", title="t", x_label="x", y_label="y")
         fig.add_point("series-a", 1, result)
         fig.add_point("series-a", 2, result)
@@ -34,14 +38,14 @@ class TestFigureResult:
 
     def test_unknown_metric(self):
         config = TINY
-        result = run_configuration(config, "spec", "20k", "PAM", "react")
+        result = pam_react_run(config)
         fig = FigureResult(figure_id="x", title="t", x_label="x", y_label="y")
         with pytest.raises(ValueError):
             fig.add_point("s", 1, result, metric="nope")
 
     def test_cost_metric_requires_cost(self):
         config = TINY
-        result = run_configuration(config, "spec", "20k", "PAM", "react")
+        result = pam_react_run(config)
         fig = FigureResult(figure_id="x", title="t", x_label="x", y_label="y")
         with pytest.raises(ValueError):
             fig.add_point("s", 1, result, metric="cost")

@@ -14,13 +14,14 @@ import pytest
 
 from repro import quick_run
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_configuration
 
 CONFIG = ExperimentConfig(scale=0.008, trials=2, base_seed=7)
 
 
 def robustness(scenario, level, mapper, dropper, params=None, config=CONFIG):
-    result = run_configuration(config, scenario, level, mapper, dropper, params)
+    result = config.plan(
+        scenarios=[scenario], levels=[level], mappers=[mapper],
+        droppers=[{"name": dropper, "params": params or {}}]).execute().runs[0]
     return result.aggregate.robustness_pct.mean, result
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import MAPPERS
 from repro.core.pet import PETMatrix
 from repro.core.pmf import PMF
-from repro.mapping import (EDF, FCFS, HEURISTIC_REGISTRY, MSD, PAM, SJF, MinMin,
-                           make_heuristic)
+from repro.mapping import EDF, FCFS, MSD, PAM, SJF, MinMin, make_heuristic
 from repro.mapping.base import (Assignment, MachineState, MappingContext, TaskView)
 
 
@@ -70,7 +70,7 @@ class TestMachineState:
 class TestRegistry:
     def test_known_names(self):
         for name in ("MM", "MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF"):
-            assert name in HEURISTIC_REGISTRY
+            assert name in MAPPERS
             heuristic = make_heuristic(name)
             assert heuristic.name in ("MM", "MSD", "PAM", "FCFS", "SJF", "EDF")
 

@@ -165,7 +165,26 @@ class TestServeErrors:
                 (bad_task, "snapshot tasks[0] must be a mapping, got int"),
                 (bad_machine,
                  "snapshot machines[1] must be a mapping, got str"),
-                (bad_rng, "snapshot rng_state is invalid: ")):
+                (bad_rng, "snapshot rng_state is invalid: "),
+                ({**payload, "tasks": 5},
+                 "snapshot tasks must be a list, got int"),
+                ({**payload, "machines": {"0": {}}},
+                 "snapshot machines must be a list, got dict"),
+                ({**payload, "batch_queue": {}},
+                 "snapshot batch_queue must be a list, got dict"),
+                ({**payload, "batch_queue": [[1]]},
+                 "snapshot batch_queue[0] must be a [task_id, deadline] "
+                 "pair, got [1]"),
+                ({**payload, "engine": {**payload["engine"], "pending": 3}},
+                 "snapshot engine.pending must be a list, got int"),
+                ({**payload, "engine": {**payload["engine"],
+                                        "pending": [7]}},
+                 "snapshot engine.pending[0] must be a mapping, got int"),
+                ({**payload, "machines": [{**payload["machines"][0],
+                                           "pending": "x"}]},
+                 "snapshot machines[0].pending must be a list, got str"),
+                ({**payload, "live": [1, 2]},
+                 "snapshot live must be a mapping, got list")):
             snap.write_text(json.dumps(broken))
             assert main(["serve", "--restore", str(snap),
                          "--horizon", "2000", "--quiet"]) == 2
