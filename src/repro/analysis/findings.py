@@ -1,21 +1,24 @@
 """Finding and report records produced by the static-analysis engine.
 
-Both records serialize losslessly (``to_dict``/``from_dict``), so a CI run
-can archive ``repro check --json`` output and a later tool can reload it
-without re-parsing the tree.
+Both records serialize losslessly through :class:`~repro.records.Record`
+(``to_dict``/``from_dict``), so a CI run can archive ``repro check
+--json`` output and a later tool can reload it without re-parsing the
+tree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
+
+from ..records import Record
 
 __all__ = ["Finding", "CheckReport"]
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """One rule violation at one source location.
 
     Attributes
@@ -46,27 +49,9 @@ class Finding:
         return (f"{self.path}:{self.line}:{self.col} "
                 f"{self.code} [{self.rule}] {self.message}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serialisable representation."""
-        return {"rule": self.rule, "code": self.code, "path": self.path,
-                "line": self.line, "col": self.col, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown Finding key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(sorted(known))}")
-        return cls(rule=str(payload["rule"]), code=str(payload["code"]),
-                   path=str(payload["path"]), line=int(payload["line"]),
-                   col=int(payload["col"]), message=str(payload["message"]))
-
 
 @dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one ``repro check`` run.
 
     Attributes
@@ -99,29 +84,6 @@ class CheckReport:
                      f"({self.files_scanned} files, "
                      f"{len(self.rules)} rules) in {self.root}")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serialisable representation."""
-        return {"root": self.root,
-                "rules": list(self.rules),
-                "files_scanned": self.files_scanned,
-                "findings": [finding.to_dict() for finding in self.findings]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CheckReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown CheckReport key(s) {', '.join(map(repr, unknown))};"
-                f" accepted: {', '.join(sorted(known))}")
-        findings = tuple(Finding.from_dict(item)
-                         for item in payload["findings"])
-        return cls(root=str(payload["root"]),
-                   rules=tuple(str(name) for name in payload["rules"]),
-                   files_scanned=int(payload["files_scanned"]),
-                   findings=findings)
 
     def to_json(self, indent: int = 2) -> str:
         """JSON export of :meth:`to_dict`."""

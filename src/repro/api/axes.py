@@ -24,25 +24,19 @@ with :mod:`repro.api.registries` (which imports the stream package).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..mapping import make_heuristic
+from ..records import SCALARS, Params, check_scalar, freeze_params
 from ..sim.system import HCSystem, SystemConfig
 from ..sim.trace import Trace
 
 __all__ = ["Axis", "AXES", "AXES_BY_KEY", "REGISTRY_AXES", "Params",
            "SCALARS", "freeze_params", "check_scalar", "active_axes",
            "axis_payload", "spec_kwargs", "build_system"]
-
-#: Keyword parameters as a hashable tuple of ``(key, value)`` pairs.
-Params = Tuple[Tuple[str, Any], ...]
-
-#: Field annotations :func:`check_scalar` checks.
-SCALARS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -115,37 +109,6 @@ REGISTRY_AXES: Tuple[Axis, ...] = tuple(a for a in AXES if a.registry)
 
 #: Rows by :attr:`Axis.plan_key`.
 AXES_BY_KEY: Dict[str, Axis] = {a.plan_key: a for a in AXES}
-
-
-def freeze_params(value: Any, key: str) -> Params:
-    """Coerce a params table (mapping or pairs) to a hashable tuple.
-
-    A mapping is sorted by key; a sequence of pairs keeps its order.
-    Anything else is rejected with ``key`` and the offending type in the
-    message.
-    """
-    if isinstance(value, Mapping):
-        return tuple(sorted(value.items()))
-    try:
-        return tuple((str(k), v) for k, v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a table of KEY = VALUE, "
-                         f"got {type(value).__name__}") from None
-
-
-def check_scalar(value: Any, kind: str, key: str) -> Any:
-    """``value`` as a scalar of annotation ``kind`` (a :data:`SCALARS`
-    key), else a ``ValueError`` naming ``key``.  A bool is never a number
-    and a float never an integer, so ``trials = 2.7`` fails, not truncates.
-    """
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, SCALARS[kind]):
-        noun = "an integer" if kind == "int" else "a number"
-        raise ValueError(f"{key} must be {noun}, got {value!r}")
-    return int(value) if kind == "int" else float(value)
 
 
 def active_axes(plan: Any) -> Iterator[Tuple[Axis, str, Params]]:

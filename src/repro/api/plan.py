@@ -56,10 +56,11 @@ if TYPE_CHECKING:
     from ..experiments.runner import TrialSpec
     from .registry import Registry
 
-from ..metrics.collector import aggregate_trials, trial_metrics_from_dict
+from ..metrics.collector import TrialMetrics, aggregate_trials
 from ..sim.system import SystemConfig
 from ..workload.deadlines import check_gamma
 from ..workload.scenario import OVERSUBSCRIPTION_LEVELS
+from ..records import check_keys
 from .axes import (AXES, REGISTRY_AXES, SCALARS, active_axes, axis_payload,
                    check_scalar, freeze_params, spec_kwargs)
 from .registries import ARRIVALS, DROPPERS, MAPPERS, SCENARIOS
@@ -114,20 +115,6 @@ def _digest(payload: Mapping[str, Any], unhashed: Sequence[str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
-                where: str) -> None:
-    """Reject unknown keys with a did-you-mean hint."""
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, list(allowed), n=1)
-            hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)"
-                                       if close else ""))
-        raise PlanError(f"unknown {where} key(s) {', '.join(hints)}; "
-                        f"accepted: {', '.join(allowed)}")
-
-
 # ----------------------------------------------------------------------
 # Grid points
 # ----------------------------------------------------------------------
@@ -161,7 +148,8 @@ class PointSpec:
         if isinstance(value, str):
             return cls(name=value)
         if isinstance(value, Mapping):
-            _check_keys(value, ("name", "params", "label"), where)
+            check_keys(value, ("name", "params", "label"), where,
+                       PlanError)
             if "name" not in value:
                 raise PlanError(f"{where} entry needs a 'name'")
             params = value.get("params") or {}
@@ -207,7 +195,8 @@ class PairSpec:
         if isinstance(value, PairSpec):
             return value
         if isinstance(value, Mapping):
-            _check_keys(value, ("mapper", "dropper", "label"), where)
+            check_keys(value, ("mapper", "dropper", "label"), where,
+                       PlanError)
             if "mapper" not in value or "dropper" not in value:
                 raise PlanError(f"{where} entry needs 'mapper' and 'dropper'")
             return cls(mapper=PointSpec.coerce(value["mapper"],
@@ -628,42 +617,34 @@ class ExperimentPlan:
         if not isinstance(payload, Mapping):
             raise PlanError(f"plan payload must be a mapping, "
                             f"got {type(payload).__name__}")
-        _check_keys(payload, ("name", "metrics", "workload", "grid",
-                              "execution", "sweep_axes"), "plan")
+        check_keys(payload, ("name", "metrics", "workload", "grid",
+                             "execution", "sweep_axes"), "plan", PlanError)
         for section in ("workload", "grid", "execution"):
             value = payload.get(section, {})
             if not isinstance(value, Mapping):
                 raise PlanError(f"plan {section} must be a table, "
                                 f"got {type(value).__name__}")
         workload = payload.get("workload", {})
-        _check_keys(workload, _WORKLOAD_KEYS, "plan workload")
+        check_keys(workload, _WORKLOAD_KEYS, "plan workload", PlanError)
         grid = payload.get("grid", {})
-        _check_keys(grid, ("mappers", "droppers", "pairs"), "plan grid")
+        check_keys(grid, ("mappers", "droppers", "pairs"), "plan grid",
+                   PlanError)
         execution = payload.get("execution", {})
         execution_keys = _EXECUTION_KEYS + tuple(
             key for axis in AXES
             for key in (axis.plan_key, axis.params_key) if key)
-        _check_keys(execution, execution_keys + _LEGACY_EXECUTION_KEYS,
-                    "plan execution")
+        check_keys(execution, execution_keys + _LEGACY_EXECUTION_KEYS,
+                   "plan execution", PlanError)
         if "pairs" in grid and ("mappers" in grid or "droppers" in grid):
             raise PlanError("plan grid takes either 'pairs' or "
                             "'mappers'/'droppers', not both")
         kwargs: Dict[str, Any] = {}
-        if "name" in payload:
-            kwargs["name"] = payload["name"]
-        if "metrics" in payload:
-            kwargs["metrics"] = payload["metrics"]
-        if "sweep_axes" in payload:
-            kwargs["sweep_axes"] = payload["sweep_axes"]
-        for key in _WORKLOAD_KEYS:
-            if key in workload:
-                kwargs[key] = workload[key]
-        for key in ("mappers", "droppers", "pairs"):
-            if key in grid:
-                kwargs[key] = grid[key]
-        for key in execution_keys:
-            if key in execution:
-                kwargs[key] = execution[key]
+        for section, keys in ((payload, ("name", "metrics", "sweep_axes")),
+                              (workload, _WORKLOAD_KEYS),
+                              (grid, ("mappers", "droppers", "pairs")),
+                              (execution, execution_keys)):
+            kwargs.update((key, section[key]) for key in keys
+                          if key in section)
         return cls(**kwargs)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -948,15 +929,8 @@ class ExperimentPlan:
                                  f"plan's {n}-cell grid")
             if len(trials) != self.trials:
                 continue
-            where = f"spool {spool_path!r} cell {index}"
-            try:
-                restored[index] = [trial_metrics_from_dict(t) for t in trials]
-            except KeyError as exc:
-                raise SpoolError(f"{where}: a trial payload has no key "
-                                 f"{exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise SpoolError(f"{where}: malformed trial payload "
-                                 f"({exc})") from None
+            # read_spool checked every payload, so these decode cleanly.
+            restored[index] = [TrialMetrics.from_dict(t) for t in trials]
         return restored
 
 

@@ -25,7 +25,7 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..metrics.collector import trial_metrics_to_dict
+from ..metrics.collector import TrialMetrics, trial_metrics_to_dict
 
 __all__ = ["ResultSink", "MemorySink", "CallbackSink", "JsonlSpoolSink",
            "SpoolError", "read_spool", "SPOOL_KIND", "SPOOL_VERSION"]
@@ -174,8 +174,8 @@ def read_spool(path: str) -> Tuple[Dict[str, Any],
     """Parse a spool file into (header, {cell index -> trial payloads}).
 
     Truncated trailing lines (an interrupt mid-write) are ignored; duplicate
-    cell indices keep the last record.  Any other malformed line raises
-    :class:`SpoolError` naming the line and the bad key or type.
+    cell indices keep the last record.  Any other malformed line (an
+    ill-typed trial value too) raises :class:`SpoolError` naming the line.
     """
     if not os.path.exists(path):
         raise SpoolError(f"spool file {path!r} does not exist")
@@ -216,11 +216,19 @@ def read_spool(path: str) -> Tuple[Dict[str, Any],
                                      where)
                 trials = _spool_field(record, "trials", list,
                                       "a list of trial objects", where)
-                for trial in trials:
+                for i, trial in enumerate(trials):
                     if not isinstance(trial, dict):
                         raise SpoolError(
                             f"{where}: 'trials' must be a list of trial "
                             f"objects, one is {type(trial).__name__}")
+                    try:
+                        TrialMetrics.from_dict(trial, f"trials[{i}]")
+                    except KeyError as exc:
+                        raise SpoolError(
+                            f"spool {path!r} cell {index}: a trial payload "
+                            f"has no key {exc} (line {lineno})") from None
+                    except ValueError as exc:
+                        raise SpoolError(f"{where}: {exc}") from None
                 cells[index] = trials
     if header is None:
         raise SpoolError(f"spool {path!r} is empty")

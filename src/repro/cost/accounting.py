@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..metrics.robustness import RobustnessReport, robustness_report
+from ..records import Record
 from ..sim.system import SimulationResult
 from .pricing import PricingModel
 
@@ -18,7 +19,7 @@ __all__ = ["CostReport", "compute_cost_report"]
 
 
 @dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Cost outcome of one simulation run.
 
     Attributes
@@ -26,7 +27,7 @@ class CostReport:
     total_cost:
         Dollar cost of all busy machine time during the run.
     cost_by_machine_type:
-        Dollar cost aggregated per machine type id.
+        Dollar cost aggregated per machine type id (string keys in JSON).
     robustness_pct:
         Percentage of (measured) tasks completed on time.
     cost_per_completed_pct:

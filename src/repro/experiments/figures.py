@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .config import ExperimentConfig
 
 if TYPE_CHECKING:  # repro.api.results imports this package
+    from ..api.plan import ExperimentPlan
     from ..api.results import RunResult
 
 __all__ = [
@@ -411,19 +412,26 @@ def churn_plan(config: ExperimentConfig, level: str = "30k",
     scenario, seeds and grid, so any ranking difference is attributable to
     the churn alone.
     """
-    if variant not in ("clean", "churn"):
-        raise ValueError(f"unknown churn variant {variant!r}; "
-                         f"known: clean, churn")
+    return _study_plan(config, "churn", level, variant, ("clean", "churn"), {
+        "faults": "crash-restart",
+        "fault_params": {"mtbf": float(mtbf),
+                         "repair_mean": float(repair_mean),
+                         "policy": policy}})
+
+
+def _study_plan(config: ExperimentConfig, study: str, level: str,
+                variant: str, variants: Tuple[str, str],
+                overrides: Dict[str, object]):
+    """One arm of a ranking study: the :data:`CHURN_PAIRS` grid, with the
+    axis ``overrides`` on the second of the two ``variants``."""
+    if variant not in variants:
+        raise ValueError(f"unknown {study} variant {variant!r}; "
+                         f"known: {', '.join(variants)}")
     pairs = [{"mapper": mapper, "dropper": dropper}
              for mapper, dropper in CHURN_PAIRS]
-    overrides = {}
-    if variant == "churn":
-        overrides = {"faults": "crash-restart",
-                     "fault_params": {"mtbf": float(mtbf),
-                                      "repair_mean": float(repair_mean),
-                                      "policy": policy}}
-    return config.plan(name=f"churn-ranking-{variant}", levels=[level],
-                       pairs=pairs, **overrides)
+    return config.plan(name=f"{study}-ranking-{variant}", levels=[level],
+                       pairs=pairs,
+                       **(overrides if variant == variants[1] else {}))
 
 
 def _pair_label(mapper: str, dropper: object) -> str:
@@ -436,34 +444,39 @@ def _pair_label(mapper: str, dropper: object) -> str:
 def figure_churn_ranking(config: ExperimentConfig, level: str = "30k",
                          mtbf: float = 2_000.0, repair_mean: float = 400.0,
                          policy: str = "requeue") -> FigureResult:
-    """Mapper×dropper robustness ranking under churn vs clean-room.
+    """Mapper×dropper robustness ranking under seeded crash/restart churn
+    vs fault-free (see :func:`_ranking_figure`)."""
+    return _ranking_figure(
+        "churn", "Pair ranking under crash/restart churn",
+        [("clean", churn_plan(config, level, variant="clean")),
+         ("churn", churn_plan(config, level, variant="churn", mtbf=mtbf,
+                              repair_mean=repair_mean, policy=policy))])
 
-    Runs the :data:`CHURN_PAIRS` grid twice -- once fault-free, once under
-    seeded crash/restart churn -- and reports both robustness series side by
-    side.  The series order within each arm *is* the ranking; the figure
-    title records how the orderings compare.
-    """
+
+def _ranking_figure(figure_id: str, title: str,
+                    arms: Sequence[Tuple[str, "ExperimentPlan"]]
+                    ) -> FigureResult:
+    """Run the :data:`CHURN_PAIRS` grid of each ``(series, plan)`` arm and
+    report the robustness series side by side.  The series order within
+    each arm *is* the ranking; the title records whether the two arms rank
+    the pairs alike."""
     labels = [_pair_label(mapper, dropper) for mapper, dropper in CHURN_PAIRS]
-    clean = _run_plan(churn_plan(config, level, variant="clean"))
-    churn = _run_plan(churn_plan(config, level, variant="churn", mtbf=mtbf,
-                                 repair_mean=repair_mean, policy=policy))
-
-    def ranking(results: Sequence[RunResult]) -> List[str]:
-        order = sorted(zip(labels, results),
-                       key=lambda item: -item[1].aggregate.robustness_pct.mean)
-        return [label for label, _ in order]
-
-    preserved = ranking(clean) == ranking(churn)
+    runs = [(series, _run_plan(plan)) for series, plan in arms]
+    rankings = [
+        [label for label, _ in sorted(
+            zip(labels, results),
+            key=lambda item: -item[1].aggregate.robustness_pct.mean)]
+        for _, results in runs]
+    preserved = rankings[0] == rankings[1]
     fig = FigureResult(
-        figure_id="churn",
-        title="Pair ranking under crash/restart churn "
-              + ("(ranking preserved)" if preserved else "(ranking changed)"),
+        figure_id=figure_id,
+        title=title + (" (ranking preserved)" if preserved
+                       else " (ranking changed)"),
         x_label="Mapper+Dropper",
         y_label="Tasks completed on time (%)")
-    for label, result in zip(labels, clean):
-        fig.add_point("clean", label, replace(result, label=label))
-    for label, result in zip(labels, churn):
-        fig.add_point("churn", label, replace(result, label=label))
+    for series, results in runs:
+        for label, result in zip(labels, results):
+            fig.add_point(series, label, replace(result, label=label))
     return fig
 
 
@@ -483,55 +496,27 @@ def locality_plan(config: ExperimentConfig, level: str = "30k",
     schedule is deterministic and draws no randomness), so any ranking
     difference is attributable to data movement alone.
     """
-    if variant not in ("uniform", "tiered"):
-        raise ValueError(f"unknown locality variant {variant!r}; "
-                         f"known: uniform, tiered")
-    pairs = [{"mapper": mapper, "dropper": dropper}
-             for mapper, dropper in CHURN_PAIRS]
-    overrides = {}
-    if variant == "tiered":
-        overrides = {"topology": "tiered-edge-cloud",
-                     "topology_params": {"bandwidth": float(bandwidth),
-                                         "latency": int(latency),
-                                         "task_bytes": int(task_bytes)}}
-    return config.plan(name=f"locality-ranking-{variant}", levels=[level],
-                       pairs=pairs, **overrides)
+    return _study_plan(config, "locality", level, variant,
+                       ("uniform", "tiered"), {
+                           "topology": "tiered-edge-cloud",
+                           "topology_params": {
+                               "bandwidth": float(bandwidth),
+                               "latency": int(latency),
+                               "task_bytes": int(task_bytes)}})
 
 
 def figure_locality_ranking(config: ExperimentConfig, level: str = "30k",
                             bandwidth: float = 48.0, latency: int = 2,
                             task_bytes: int = 192) -> FigureResult:
-    """Mapper×dropper robustness ranking on a tiered topology vs uniform.
-
-    Runs the :data:`CHURN_PAIRS` grid twice -- once on the paper's implicit
-    uniform platform, once on a tiered edge/cloud topology with a shared
-    uplink in front of the fast machines -- and reports both robustness
-    series side by side.  The series order within each arm *is* the
-    ranking; the figure title records how the orderings compare.
-    """
-    labels = [_pair_label(mapper, dropper) for mapper, dropper in CHURN_PAIRS]
-    uniform = _run_plan(locality_plan(config, level, variant="uniform"))
-    tiered = _run_plan(locality_plan(config, level, variant="tiered",
-                                     bandwidth=bandwidth, latency=latency,
-                                     task_bytes=task_bytes))
-
-    def ranking(results: Sequence[RunResult]) -> List[str]:
-        order = sorted(zip(labels, results),
-                       key=lambda item: -item[1].aggregate.robustness_pct.mean)
-        return [label for label, _ in order]
-
-    preserved = ranking(uniform) == ranking(tiered)
-    fig = FigureResult(
-        figure_id="locality",
-        title="Pair ranking under a tiered edge/cloud topology "
-              + ("(ranking preserved)" if preserved else "(ranking changed)"),
-        x_label="Mapper+Dropper",
-        y_label="Tasks completed on time (%)")
-    for label, result in zip(labels, uniform):
-        fig.add_point("uniform", label, replace(result, label=label))
-    for label, result in zip(labels, tiered):
-        fig.add_point("tiered", label, replace(result, label=label))
-    return fig
+    """Mapper×dropper robustness ranking on a tiered edge/cloud topology
+    (a shared uplink in front of the fast machines) vs the paper's uniform
+    platform (see :func:`_ranking_figure`)."""
+    return _ranking_figure(
+        "locality", "Pair ranking under a tiered edge/cloud topology",
+        [("uniform", locality_plan(config, level, variant="uniform")),
+         ("tiered", locality_plan(config, level, variant="tiered",
+                                  bandwidth=bandwidth, latency=latency,
+                                  task_bytes=task_bytes))])
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ logs and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from .figures import FigureResult
 
@@ -57,17 +57,13 @@ def format_figure_table(figure: FigureResult, precision: int = 2) -> str:
     metric values are far below one (e.g. normalised dollar costs).
     """
     header = f"{figure.title}\n{'=' * len(figure.title)}"
-    col_series = max([len("series")] + [len(s) for s in figure.series]) + 2
     rows = figure.to_rows()
     precision = _auto_precision([r[2] for r in rows], precision)
-    lines = [header,
-             f"{'series'.ljust(col_series)}{figure.x_label:>24}"
-             f"{figure.y_label:>34}{'95% CI':>22}"]
-    for series, x, mean, lower, upper in rows:
-        ci = f"[{lower:.{precision}f}, {upper:.{precision}f}]"
-        lines.append(f"{series.ljust(col_series)}{str(x):>24}"
-                     f"{mean:>34.{precision}f}{ci:>22}")
-    return "\n".join(lines)
+    cells = [[series, str(x), f"{mean:.{precision}f}",
+              f"[{lower:.{precision}f}, {upper:.{precision}f}]"]
+             for series, x, mean, lower, upper in rows]
+    return header + "\n" + format_aligned_table(
+        ["series", figure.x_label, figure.y_label, "95% CI"], cells)
 
 
 def format_series_summary(figure: FigureResult, precision: int = 2) -> str:

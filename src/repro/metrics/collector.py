@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence
 
 from ..cost.accounting import CostReport, compute_cost_report
 from ..cost.pricing import PricingModel
 from ..platform.topology import TransferCounters
+from ..records import Record
 from ..sim.fault_events import ChurnCounters
 from ..sim.perf import PerfStats
 from ..sim.system import SimulationResult
@@ -21,8 +22,10 @@ __all__ = ["TrialMetrics", "AggregateMetrics", "collect_trial_metrics",
 
 
 @dataclass(frozen=True)
-class TrialMetrics:
-    """All metrics extracted from one simulation trial.
+class TrialMetrics(Record):
+    """All metrics extracted from one simulation trial; the lossless
+    per-trial payload of the resumable sweep spool (``repr``-exact floats
+    survive JSON bit-for-bit).
 
     Attributes
     ----------
@@ -62,6 +65,8 @@ class TrialMetrics:
     churn: Optional[ChurnCounters] = None
     transfers: Optional[TransferCounters] = None
     perf: Optional[PerfStats] = field(default=None, compare=False)
+
+    CONDITIONAL = ("churn", "transfers", "perf")
 
     @property
     def robustness_pct(self) -> float:
@@ -132,78 +137,13 @@ def collect_trial_metrics(result: SimulationResult,
 
 
 def trial_metrics_to_dict(metrics: TrialMetrics) -> Dict[str, Any]:
-    """Lossless JSON-serialisable representation of one trial's metrics.
-
-    This is the persistence format of the resumable sweep spool
-    (:class:`repro.api.sinks.JsonlSpoolSink`): every scalar survives a JSON
-    round-trip bit-for-bit (Python's ``repr``-based float serialisation is
-    exact), so :func:`trial_metrics_from_dict` reconstructs a
-    :class:`TrialMetrics` that compares equal to the original.
-    """
-    payload: Dict[str, Any] = {
-        "robustness": {f.name: getattr(metrics.robustness, f.name)
-                       for f in fields(metrics.robustness)},
-        "drops": {f.name: getattr(metrics.drops, f.name)
-                  for f in fields(metrics.drops)},
-        "cost": None,
-        "num_mapping_events": metrics.num_mapping_events,
-        "makespan": metrics.makespan,
-    }
-    if metrics.cost is not None:
-        payload["cost"] = {
-            "total_cost": metrics.cost.total_cost,
-            # JSON objects key by string; the type ids convert back below.
-            "cost_by_machine_type": {
-                str(k): v
-                for k, v in metrics.cost.cost_by_machine_type.items()},
-            "robustness_pct": metrics.cost.robustness_pct,
-            "cost_per_completed_pct": metrics.cost.cost_per_completed_pct,
-        }
-    if metrics.churn is not None:
-        # Conditional key: fault-free payloads stay byte-identical to the
-        # pre-fault spool format (backward/forward compatible resume).
-        payload["churn"] = {f.name: getattr(metrics.churn, f.name)
-                            for f in fields(metrics.churn)}
-    if metrics.transfers is not None:
-        # Same conditional-key contract as ``churn`` for the topology axis.
-        payload["transfers"] = metrics.transfers.to_dict()
-    if metrics.perf is not None:
-        payload["perf"] = {f.name: getattr(metrics.perf, f.name)
-                           for f in fields(metrics.perf)}
-    return payload
+    """Lossless JSON form of one trial's metrics (``TrialMetrics.to_dict``)."""
+    return metrics.to_dict()
 
 
 def trial_metrics_from_dict(payload: Dict[str, Any]) -> TrialMetrics:
-    """Rebuild a :class:`TrialMetrics` from :func:`trial_metrics_to_dict`."""
-    cost = None
-    if payload.get("cost") is not None:
-        raw = payload["cost"]
-        cost = CostReport(
-            total_cost=raw["total_cost"],
-            cost_by_machine_type={int(k): v for k, v
-                                  in raw["cost_by_machine_type"].items()},
-            robustness_pct=raw["robustness_pct"],
-            cost_per_completed_pct=raw["cost_per_completed_pct"])
-    perf = None
-    if payload.get("perf") is not None:
-        known = {f.name for f in fields(PerfStats)}
-        perf = PerfStats(**{k: v for k, v in payload["perf"].items()
-                            if k in known})
-    churn = None
-    if payload.get("churn") is not None:
-        churn = ChurnCounters(**payload["churn"])
-    transfers = None
-    if payload.get("transfers") is not None:
-        transfers = TransferCounters.from_dict(payload["transfers"])
-    return TrialMetrics(
-        robustness=RobustnessReport(**payload["robustness"]),
-        drops=DropBreakdown(**payload["drops"]),
-        cost=cost,
-        num_mapping_events=payload["num_mapping_events"],
-        makespan=payload["makespan"],
-        churn=churn,
-        transfers=transfers,
-        perf=perf)
+    """Rebuild a :class:`TrialMetrics` (:meth:`TrialMetrics.from_dict`)."""
+    return TrialMetrics.from_dict(payload)
 
 
 def aggregate_trials(trials: Sequence[TrialMetrics],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..records import Record
 from ..sim.system import SimulationResult
 from ..sim.task import TaskStatus
 
@@ -18,7 +19,7 @@ __all__ = ["DropBreakdown", "drop_breakdown"]
 
 
 @dataclass(frozen=True)
-class DropBreakdown:
+class DropBreakdown(Record):
     """Counts of dropped tasks by drop kind over a whole run.
 
     Attributes

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from ..records import Record
 from ..sim.system import SimulationResult
 from ..sim.task import Task, TaskStatus
 
@@ -30,7 +31,7 @@ def default_exclusion(num_tasks: int, paper_exclusion: int = 100,
 
 
 @dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(Record):
     """Robustness outcome of one simulation run.
 
     Attributes

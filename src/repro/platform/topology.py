@@ -42,11 +42,12 @@ the paper's scheduler views never see unmodelled delays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.pet import PETMatrix
 from ..core.pmf import PMF
+from ..records import Record
 
 __all__ = ["LinkSpec", "Topology", "BoundTopology", "EffectiveExecution",
            "TransferCounters", "UniformTopology", "StarUplinkTopology",
@@ -107,7 +108,7 @@ LOCAL_LINK = LinkSpec()
 
 
 @dataclass(frozen=True)
-class TransferCounters:
+class TransferCounters(Record):
     """Data-movement totals of one run (attached to trial metrics only when
     a non-trivial topology was active, keeping older spools byte-identical).
 
@@ -118,22 +119,6 @@ class TransferCounters:
     transfers: int = 0
     busy: int = 0
     wait: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """Plain JSON-serialisable representation."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "TransferCounters":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown TransferCounters key(s) "
-                f"{', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(sorted(known))}")
-        return cls(**{k: int(v) for k, v in payload.items()})
 
 
 class BoundTopology:

@@ -8,14 +8,16 @@ dropping, proactive dropping, mapping, dispatch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
+
+from ..records import Record
 
 __all__ = ["Event", "TaskArrival", "TaskCompletion", "SimulationEnd"]
 
 
 @dataclass(frozen=True, order=False)
-class Event:
+class Event(Record):
     """Base class of all simulation events.
 
     Attributes

@@ -40,6 +40,7 @@ from typing import ClassVar, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..records import Record
 from .engine import SimulationEngine
 from .events import Event
 
@@ -169,7 +170,7 @@ class PartitionEnd(FaultEvent):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChurnCounters:
+class ChurnCounters(Record):
     """Fault-induced churn of one run.
 
     Attributes

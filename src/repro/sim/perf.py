@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, Optional
 
+from ..records import Record
+
 __all__ = ["PerfStats"]
 
 
 @dataclass
-class PerfStats:
+class PerfStats(Record):
     """Counters describing the computational work of one simulation run.
 
     Attributes
@@ -47,7 +49,7 @@ class PerfStats:
         scratch buffer, so these always read 0 (as does the derived
         ``intern_hit_rate``).  They stay so that payloads written by older
         versions, which carry the keys, still load under the strict
-        :meth:`from_dict`, and so that readers of the keys keep working.
+        ``from_dict``, and so that readers of the keys keep working.
     plane_evals / plane_rounds:
         Work done by the two-phase score-plane backends
         (:mod:`repro.mapping.kernel`): per-pair score evaluations issued
@@ -119,34 +121,12 @@ class PerfStats:
             total.merge(item)
         return total
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serialisable representation (plus derived rates)."""
-        payload: Dict[str, Any] = {f.name: getattr(self, f.name)
-                                   for f in fields(self)}
+    #: The derived rates :meth:`to_dict` adds; read back and discarded.
+    DROPPED_KEYS = ("tail_cache_hit_rate", "intern_hit_rate")
+
+    def to_dict(self) -> Dict[str, Any]:  # repro: allow[serialization-symmetry] Record.from_dict reads it; the rates are DROPPED_KEYS
+        """The counters plus the derived rates (nested, the counters only)."""
+        payload = super().to_dict()
         payload["tail_cache_hit_rate"] = self.tail_cache_hit_rate
         payload["intern_hit_rate"] = self.intern_hit_rate
         return payload
-
-    #: Derived keys emitted by :meth:`to_dict` that are not counter fields.
-    _DERIVED_KEYS = ("tail_cache_hit_rate", "intern_hit_rate")
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "PerfStats":
-        """Rebuild counters from :meth:`to_dict` output (strict keys).
-
-        The derived rate keys are recomputed properties, so they are
-        accepted and discarded; any other unknown key is an error.
-        """
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - names - set(cls._DERIVED_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown PerfStats key(s) {', '.join(map(repr, unknown))}")
-        kwargs: Dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name not in payload:
-                continue
-            value = payload[f.name]
-            kwargs[f.name] = (float(value) if f.name == "wall_time_s"
-                              else int(value))
-        return cls(**kwargs)

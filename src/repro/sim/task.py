@@ -9,8 +9,10 @@ in the PET matrix, not on the task itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+from ..records import Record
 
 __all__ = ["TaskStatus", "TaskType", "Task"]
 
@@ -103,7 +105,7 @@ class TaskType:
 
 
 @dataclass
-class Task:
+class Task(Record):
     """One task instance flowing through the simulated system.
 
     Attributes
@@ -116,25 +118,25 @@ class Task:
         Arrival time at the batch queue.
     deadline:
         Absolute hard deadline; completion strictly before it is a success.
-    status:
-        Current lifecycle state.
     machine_id:
         Machine the task was assigned to (``None`` while in the batch queue).
     queued_time / start_time / finish_time / drop_time:
         Timestamps of the corresponding transitions (``None`` until they
         happen).
+    status:
+        Current lifecycle state (snapshots write it last).
     """
 
     id: int
     type_id: int
     arrival: int
     deadline: int
-    status: TaskStatus = TaskStatus.CREATED
     machine_id: Optional[int] = None
     queued_time: Optional[int] = None
     start_time: Optional[int] = None
     finish_time: Optional[int] = None
     drop_time: Optional[int] = None
+    status: TaskStatus = TaskStatus.CREATED
 
     def __post_init__(self):
         if self.id < 0:

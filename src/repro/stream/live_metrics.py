@@ -22,20 +22,21 @@ like ``TrialMetrics.perf``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from ..records import Record
 from ..sim.trace import TraceRecord
 from ..viz.ascii_charts import line_chart
 
-__all__ = ["WindowStats", "MetricsTimeline", "LiveMetrics"]
+__all__ = ["WindowStats", "MetricsTimeline", "LiveState", "LiveMetrics"]
 
 #: Metric keys tracked by the EWMA (exponentially-decayed) view.
 EWMA_KEYS = ("completion_rate", "drop_rate", "miss_rate")
 
 
 @dataclass
-class WindowStats:
+class WindowStats(Record):
     """Counters of one tumbling window ``[start, end)``.
 
     Rates are over *resolved* tasks (completed or dropped inside the
@@ -98,25 +99,9 @@ class WindowStats:
         span = self.end - self.start
         return self.completions / span if span else 0.0
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain JSON-serialisable representation."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "WindowStats":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown WindowStats key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(sorted(known))}")
-        return cls(**payload)
-
 
 @dataclass
-class MetricsTimeline:
+class MetricsTimeline(Record):
     """Sequence of closed tumbling windows plus the EWMA configuration.
 
     Equality compares the window list (minus perf deltas, which are
@@ -166,18 +151,21 @@ class MetricsTimeline:
         return line_chart(self.series(keys), self.x_values(), height=height,
                           width=width, title=title or "service timeline")
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain JSON-serialisable representation."""
-        return {"window": self.window, "decay": self.decay,
-                "windows": [w.to_dict() for w in self.windows]}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "MetricsTimeline":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(window=int(payload["window"]), decay=float(payload["decay"]),
-                   windows=[WindowStats.from_dict(w)
-                            for w in payload["windows"]])
+@dataclass
+class LiveState(Record):
+    """The accumulator state of a :class:`LiveMetrics` (closed and open
+    windows, bookkeeping, EWMA and perf baselines) as snapshots carry it."""
+
+    window: int
+    decay: float
+    closed: List[WindowStats]
+    current: Optional[WindowStats]
+    next_index: int
+    batch_depth: int
+    backlog: int
+    ewma: Dict[str, float]
+    last_perf: Dict[str, float] = field(compare=False)
 
 
 class LiveMetrics:
@@ -344,34 +332,33 @@ class LiveMetrics:
     # ------------------------------------------------------------------
     # Snapshot hooks
     # ------------------------------------------------------------------
+    def state(self) -> LiveState:
+        """Full accumulator state (shared, not copied: encode it at once)."""
+        return LiveState(
+            window=self.window, decay=self.decay, closed=self._closed,
+            current=self._current, next_index=self._next_index,
+            batch_depth=self._batch_depth, backlog=self._backlog,
+            ewma=self._ewma, last_perf=self._last_perf)
+
     def state_dict(self) -> Dict[str, object]:
         """Full accumulator state for the streaming snapshot artifact."""
-        return {
-            "window": self.window,
-            "decay": self.decay,
-            "closed": [w.to_dict() for w in self._closed],
-            "current": None if self._current is None else self._current.to_dict(),
-            "next_index": self._next_index,
-            "batch_depth": self._batch_depth,
-            "backlog": self._backlog,
-            "ewma": dict(self._ewma),
-            "last_perf": dict(self._last_perf),
-        }
+        return self.state().to_dict()
 
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore accumulator state saved by :meth:`state_dict`."""
-        if int(state["window"]) != self.window or \
-                float(state["decay"]) != self.decay:
-            raise ValueError("snapshot windowing configuration "
-                             f"(window={state['window']}, decay={state['decay']}) "
-                             f"does not match this LiveMetrics "
-                             f"(window={self.window}, decay={self.decay})")
-        self._closed = [WindowStats.from_dict(w) for w in state["closed"]]
-        current = state["current"]
-        self._current = None if current is None else WindowStats.from_dict(current)
-        self._next_index = int(state["next_index"])
-        self._batch_depth = int(state["batch_depth"])
-        self._backlog = int(state["backlog"])
-        self._ewma = {k: float(v) for k, v in dict(state["ewma"]).items()}
-        self._last_perf = {k: float(v)
-                           for k, v in dict(state["last_perf"]).items()}
+    def load_state(self, state: Union[Mapping[str, object], LiveState]
+                   ) -> None:
+        """Restore accumulator state saved by :meth:`state_dict` (or
+        already decoded as a :class:`LiveState`)."""
+        if not isinstance(state, LiveState):
+            state = LiveState.from_dict(state, "live state")
+        if state.window != self.window or state.decay != self.decay:
+            raise ValueError(f"windowing configuration (window="
+                             f"{state.window}, decay={state.decay}) does "
+                             f"not match this LiveMetrics (window="
+                             f"{self.window}, decay={self.decay})")
+        self._closed = list(state.closed)
+        self._current = state.current
+        self._next_index = state.next_index
+        self._batch_depth = state.batch_depth
+        self._backlog = state.backlog
+        self._ewma = dict(state.ewma)
+        self._last_perf = dict(state.last_perf)

@@ -24,8 +24,9 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional
 
+from ..records import check_keys, check_scalar, require_mapping
 from .live_metrics import WindowStats
-from .service import StreamSpec, StreamingSimulation, _require_mapping
+from .service import StreamSpec, StreamingSimulation
 
 __all__ = ["StreamPlan"]
 
@@ -62,8 +63,6 @@ class StreamPlan:
     warmup: int = 0
 
     def __post_init__(self) -> None:
-        from ..api.axes import check_scalar
-
         for key in ("horizon", "snapshot_every", "warmup"):
             object.__setattr__(self, key,
                                check_scalar(getattr(self, key), "int", key))
@@ -99,12 +98,8 @@ class StreamPlan:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "StreamPlan":
         """Rebuild a plan from :meth:`to_dict` output (strict keys)."""
-        _require_mapping(payload, "stream plan payload")
-        unknown = sorted(set(payload) - set(_PLAN_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown StreamPlan key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(_PLAN_KEYS)}")
+        require_mapping(payload, "stream plan payload")
+        check_keys(payload, _PLAN_KEYS, "StreamPlan")
         kwargs = dict(payload)
         if "stream" in kwargs:
             kwargs["stream"] = StreamSpec.from_dict(kwargs["stream"])

@@ -21,12 +21,13 @@ TrialMetrics` and the same metrics timeline.  The snapshot/resume pin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..metrics.collector import TrialMetrics, collect_trial_metrics
+from ..records import Params, Record
 from ..sim.fault_events import EXECUTION_SEED_OFFSET, FAULT_SEED_OFFSET
 from ..sim.system import SystemConfig
 from ..sim.task import Task
@@ -42,13 +43,9 @@ __all__ = ["StreamSpec", "StreamingSimulation"]
 #: so the three streams never alias.
 TRAFFIC_SEED_OFFSET = 7_919
 
-#: Engine switches older snapshots and stream plans carried; they never
-#: changed results, so they are read and dropped.
-_LEGACY_KEYS = ("incremental", "scoring")
-
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Record):
     """Fully serialisable description of one streaming service.
 
     The streaming analogue of :class:`repro.experiments.runner.TrialSpec`:
@@ -95,33 +92,28 @@ class StreamSpec:
     seed: int = 0
     mapper_name: str = "PAM"
     dropper_name: str = "heuristic"
-    mapper_params: Tuple[Tuple[str, object], ...] = ()
-    dropper_params: Tuple[Tuple[str, object], ...] = ()
-    traffic_params: Tuple[Tuple[str, object], ...] = ()
-    scenario_params: Tuple[Tuple[str, object], ...] = ()
+    mapper_params: Params = ()
+    dropper_params: Params = ()
+    traffic_params: Params = ()
+    scenario_params: Params = ()
     uncertainty_name: str = "none"
-    uncertainty_params: Tuple[Tuple[str, object], ...] = ()
+    uncertainty_params: Params = ()
     faults_name: str = "none"
-    fault_params: Tuple[Tuple[str, object], ...] = ()
+    fault_params: Params = ()
     topology_name: str = "uniform"
-    topology_params: Tuple[Tuple[str, object], ...] = ()
+    topology_params: Params = ()
     numerics: str = "exact"
     metrics_window: int = 500
     metrics_decay: float = 0.2
 
-    def __post_init__(self) -> None:
-        from ..api.axes import SCALARS, check_scalar, freeze_params
+    #: Engine switches older snapshots and stream plans carried; they
+    #: never changed results, so they are read and dropped.
+    DROPPED_KEYS = ("incremental", "scoring")
 
-        # Accept plain dicts for all *_params fields and freeze them, so
-        # StreamSpec(dropper_params={"beta": 1.0}) just works; type-check
-        # the scalars, so queue_capacity = 6.5 fails instead of truncating.
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_params"):
-                value = freeze_params(value, f.name)
-            elif f.type in SCALARS:
-                value = check_scalar(value, f.type, f.name)
-            object.__setattr__(self, f.name, value)
+    def __post_init__(self) -> None:
+        # Freeze dict params (dropper_params={"beta": 1.0} just works) and
+        # type-check scalars (queue_capacity = 6.5 fails, not truncates).
+        self._check_fields()
         if self.oversubscription <= 0:
             raise ValueError("oversubscription must be positive")
         check_gamma(self.gamma)
@@ -137,49 +129,6 @@ class StreamSpec:
     def label(self) -> str:
         """Short configuration label, e.g. ``"steady/PAM+heuristic"``."""
         return f"{self.traffic_name}/{self.mapper_name}+{self.dropper_name}"
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain JSON/TOML-serialisable representation (params as dicts)."""
-        payload: Dict[str, object] = {}
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = dict(value) if f.name.endswith("_params") else value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "StreamSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Unknown keys are rejected with the accepted set in the message, so
-        a hand-edited snapshot or stream plan cannot silently drop a
-        parameter; the legacy ``incremental``/``scoring`` keys are dropped.
-        """
-        _require_mapping(payload, "StreamSpec payload")
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known - set(_LEGACY_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown StreamSpec key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(sorted(known))}")
-        return cls(**{key: value for key, value in payload.items()
-                      if key in known})
-
-
-def _require_mapping(payload: object, what: str) -> None:
-    """Reject a JSON/TOML value that should be an object but is not (a
-    list, a string); ``what`` names the value in the error."""
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} must be a mapping, "
-                         f"got {type(payload).__name__}")
-
-
-def _require_list(payload: object, what: str) -> None:
-    """Reject a JSON value that should be an array but is not (a number,
-    an object); ``what`` names the value in the error."""
-    if not isinstance(payload, (list, tuple)):
-        raise ValueError(f"{what} must be a list, "
-                         f"got {type(payload).__name__}")
 
 
 class StreamingSimulation:

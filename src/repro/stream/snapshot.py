@@ -1,27 +1,18 @@
 """Snapshot/resume of a live streaming service, bit-identically.
 
 A snapshot captures everything that determines the future of a
-:class:`~repro.stream.service.StreamingSimulation` as plain JSON:
-
-* the :class:`~repro.stream.service.StreamSpec` (so the platform, PET and
-  policies rebuild from seeds alone),
-* the engine clock, dispatch count and every pending event in dispatch
-  order,
-* every task ever submitted (status, timestamps, placement),
-* per-machine runtime state (running task, pending queue, busy time),
-* the batch queue in FIFO order,
-* the execution-sampling RNG state (PCG64 state dict -- exact integers),
-* the traffic stream position (count of accepted events; the stream is a
-  pure function of the seed, so the count alone re-derives it),
-* the live-metrics accumulators (closed windows, open window, EWMA state),
-  and
-* when a fault process is active: the fault stream position, the down /
-  slowed / partitioned machine state, the cancelled-completion table and
-  the churn counters (the fault schedule, like traffic, is a pure function
-  of its seed, so the position alone re-derives the stream), and
-* when a topology is active: the per-link-group busy-until clocks and the
-  transfer counters (the transfer schedule is RNG-free, so this is the
-  entire network state).
+:class:`~repro.stream.service.StreamingSimulation` as plain JSON, in the
+layout :class:`_Snapshot` declares: the
+:class:`~repro.stream.service.StreamSpec` (the platform, PET and policies
+rebuild from seeds alone), the engine clock and pending events in dispatch
+order, every task ever submitted, per-machine runtime state, the batch
+queue in FIFO order, the execution-sampling RNG state (exact integers),
+the traffic stream position (the stream is a pure function of the seed,
+so the count of accepted events re-derives it) and the live-metrics
+accumulators; plus, while a fault process is active, the fault stream
+position, down / slowed / partitioned machines, cancelled completions and
+churn counters, and while a topology moves data, the link-group clocks and
+transfer counters (transfer scheduling draws no randomness).
 
 What is deliberately *not* serialised: the simulator's incremental
 completion-PMF caches.  Every cache is gated on bitwise-identical inputs,
@@ -35,15 +26,20 @@ and the metrics timeline.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import (TYPE_CHECKING, Annotated, Any, Callable, Dict, Iterator,
+                    List, Mapping, NamedTuple, Optional, Tuple, Type)
 
+from ..records import Record, require_mapping
 from ..sim.events import Event, SimulationEnd, TaskArrival, TaskCompletion
 from ..sim.fault_events import (MachineCrash, MachineRestart, PartitionEnd,
                                 PartitionStart, SlowdownEnd, SlowdownStart)
 from ..sim.perf import PerfStats
-from ..sim.task import Task, TaskStatus
+from ..sim.task import Task
+from .live_metrics import LiveState
+from .service import StreamSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .live_metrics import WindowStats
@@ -56,95 +52,133 @@ __all__ = ["SNAPSHOT_FORMAT", "snapshot_state", "restore_state",
 #: changes so stale artifacts fail loudly instead of restoring garbage.
 SNAPSHOT_FORMAT = "repro-stream-snapshot/v1"
 
-_TASK_FIELDS = ("id", "type_id", "arrival", "deadline", "machine_id",
-                "queued_time", "start_time", "finish_time", "drop_time")
+#: The snapshot ``kind`` of every event class a pending heap can hold.
+_EVENT_KINDS: Dict[str, Type[Event]] = {
+    "arrival": TaskArrival, "completion": TaskCompletion,
+    "end": SimulationEnd, "crash": MachineCrash, "restart": MachineRestart,
+    "slowdown-start": SlowdownStart, "slowdown-end": SlowdownEnd,
+    "partition-start": PartitionStart, "partition-end": PartitionEnd}
 
 
-def _event_to_dict(event: Event) -> Dict[str, object]:
-    if isinstance(event, TaskArrival):
-        return {"kind": "arrival", "time": event.time,
-                "task_id": event.task_id}
-    if isinstance(event, TaskCompletion):
-        return {"kind": "completion", "time": event.time,
-                "task_id": event.task_id, "machine_id": event.machine_id}
-    if isinstance(event, SimulationEnd):
-        return {"kind": "end", "time": event.time}
-    if isinstance(event, MachineCrash):
-        return {"kind": "crash", "time": event.time,
-                "machine_id": event.machine_id,
-                "repair_delay": event.repair_delay, "policy": event.policy}
-    if isinstance(event, MachineRestart):
-        return {"kind": "restart", "time": event.time,
-                "machine_id": event.machine_id}
-    if isinstance(event, SlowdownStart):
-        return {"kind": "slowdown-start", "time": event.time,
-                "token": event.token,
-                "machine_ids": list(event.machine_ids),
-                "factor": event.factor, "duration": event.duration}
-    if isinstance(event, SlowdownEnd):
-        return {"kind": "slowdown-end", "time": event.time,
-                "token": event.token}
-    if isinstance(event, PartitionStart):
-        return {"kind": "partition-start", "time": event.time,
-                "token": event.token,
-                "machine_ids": list(event.machine_ids),
-                "duration": event.duration}
-    if isinstance(event, PartitionEnd):
-        return {"kind": "partition-end", "time": event.time,
-                "token": event.token}
-    raise TypeError(f"cannot serialise event {event!r}")
+# ----------------------------------------------------------------------
+# The layout: one record per section, one NamedTuple per fixed list
+# ----------------------------------------------------------------------
+
+_Queued = NamedTuple("_Queued", [("task_id", int), ("deadline", int)])
+_Slowdown = NamedTuple("_Slowdown", [("token", int),
+                                     ("machine_ids", Tuple[int, ...]),
+                                     ("factor", float)])
+_Partition = NamedTuple("_Partition", [("token", int),
+                                       ("machine_ids", Tuple[int, ...]),
+                                       ("started", int)])
+_Cancelled = NamedTuple("_Cancelled", [("task_id", int), ("machine_id", int),
+                                       ("time", int), ("count", int)])
+_LinkBusy = NamedTuple("_LinkBusy", [("group", str), ("until", int)])
 
 
-def _event_from_dict(payload: Mapping[str, object]) -> Event:
-    kind = payload["kind"]
-    if kind == "arrival":
-        return TaskArrival(time=int(payload["time"]),
-                           task_id=int(payload["task_id"]))
-    if kind == "completion":
-        return TaskCompletion(time=int(payload["time"]),
-                              task_id=int(payload["task_id"]),
-                              machine_id=int(payload["machine_id"]))
-    if kind == "end":
-        return SimulationEnd(time=int(payload["time"]))
-    if kind == "crash":
-        return MachineCrash(time=int(payload["time"]),
-                            machine_id=int(payload["machine_id"]),
-                            repair_delay=int(payload["repair_delay"]),
-                            policy=str(payload["policy"]))
-    if kind == "restart":
-        return MachineRestart(time=int(payload["time"]),
-                              machine_id=int(payload["machine_id"]))
-    if kind == "slowdown-start":
-        return SlowdownStart(time=int(payload["time"]),
-                             token=int(payload["token"]),
-                             machine_ids=tuple(
-                                 int(m) for m in payload["machine_ids"]),
-                             factor=float(payload["factor"]),
-                             duration=int(payload["duration"]))
-    if kind == "slowdown-end":
-        return SlowdownEnd(time=int(payload["time"]),
-                           token=int(payload["token"]))
-    if kind == "partition-start":
-        return PartitionStart(time=int(payload["time"]),
-                              token=int(payload["token"]),
-                              machine_ids=tuple(
-                                  int(m) for m in payload["machine_ids"]),
-                              duration=int(payload["duration"]))
-    if kind == "partition-end":
-        return PartitionEnd(time=int(payload["time"]),
-                            token=int(payload["token"]))
-    raise ValueError(f"unknown event kind {kind!r} in snapshot")
+@dataclass
+class _Engine(Record):
+    now: int
+    dispatched: int
+    #: Pending events in dispatch order.
+    pending: List[Annotated[Event, _EVENT_KINDS]]
 
 
-def _task_to_dict(task: Task) -> Dict[str, object]:
-    payload = {name: getattr(task, name) for name in _TASK_FIELDS}
-    payload["status"] = task.status.value
-    return payload
+@dataclass
+class _Machine(Record):
+    id: int
+    running_task: Optional[int]
+    pending: List[int]
+    busy_time: int
+    started_tasks: int
 
 
-def _task_from_dict(payload: Mapping[str, object]) -> Task:
-    kwargs = {name: payload[name] for name in _TASK_FIELDS}
-    return Task(status=TaskStatus(payload["status"]), **kwargs)
+@dataclass
+class _Counters(Record):
+    num_mapping_events: int
+    num_proactive_drops: int
+    num_reactive_queue_drops: int
+    num_batch_expired_drops: int
+
+
+@dataclass
+class _RngState(Record):
+    """A PCG64 state dict (exact integers round-trip through JSON)."""
+
+    bit_generator: str
+    state: Dict[str, int]
+    has_uint32: int
+    uinteger: int
+
+
+@dataclass
+class _FaultCounters(Record):
+    num_crashes: int
+    num_requeued_tasks: int
+    num_crash_lost: int
+    partition_time: int
+
+
+@dataclass
+class _Faults(Record):
+    consumed: int
+    down: List[int]
+    slowdowns: List[_Slowdown]
+    partitions: List[_Partition]
+    cancelled_completions: List[_Cancelled]
+    counters: _FaultCounters
+
+
+@dataclass
+class _TransferTotals(Record):
+    num_transfers: int
+    transfer_time: int
+    transfer_wait: int
+
+
+@dataclass
+class _Topology(Record):
+    link_busy: List[_LinkBusy]
+    counters: _TransferTotals
+
+
+@dataclass
+class _Snapshot(Record):
+    format: str
+    spec: StreamSpec
+    horizon: int
+    next_task_id: int
+    traffic_consumed: int
+    engine: _Engine
+    tasks: List[Task]
+    machines: List[_Machine]
+    #: The batch queue in FIFO order.
+    batch_queue: List[_Queued]
+    counters: _Counters
+    perf: PerfStats = field(compare=False)
+    rng_state: _RngState
+    live: LiveState
+    #: Written only while a fault process / an effective topology is
+    #: bound, so snapshots without them keep the pre-axis layout.
+    faults: Optional[_Faults] = None
+    topology: Optional[_Topology] = None
+
+    CONDITIONAL = ("faults", "topology")
+
+
+def _read_attrs(cls: Any, source: object) -> Any:
+    """A counters record filled from ``source``'s same-named attributes."""
+    return cls(**{f.name: getattr(source, f.name)
+                  for f in dataclass_fields(cls)})
+
+
+@contextlib.contextmanager
+def _section(where: str) -> Iterator[None]:
+    """Name the snapshot path ``where`` in a restore-time rejection."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"snapshot {where} is invalid: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -155,77 +189,48 @@ def snapshot_state(service: "StreamingSimulation") -> Dict[str, object]:
     """Serialise the full live state of a service to a JSON-ready dict."""
     system = service.system
     engine = system.engine
-    payload: Dict[str, object] = {
-        "format": SNAPSHOT_FORMAT,
-        "spec": service.spec.to_dict(),
-        "horizon": service.horizon,
-        "next_task_id": service._next_task_id,
-        "traffic_consumed": service._consumed,
-        "engine": {
-            "now": engine.now,
-            "dispatched": engine.dispatched_events,
-            "pending": [_event_to_dict(e) for e in engine.pending_snapshot()],
-        },
-        "tasks": [_task_to_dict(t) for t in system.tasks.values()],
-        "machines": [
-            {"id": m.id, "running_task": m.running_task,
-             "pending": m.pending_tasks, "busy_time": m.busy_time,
-             "started_tasks": m.started_tasks}
-            for m in system.machines],
-        "batch_queue": [[task_id, system.tasks[task_id].deadline]
-                        for task_id in system.batch_queue.snapshot()],
-        "counters": {
-            "num_mapping_events": system.num_mapping_events,
-            "num_proactive_drops": system.num_proactive_drops,
-            "num_reactive_queue_drops": system.num_reactive_queue_drops,
-            "num_batch_expired_drops": system.num_batch_expired_drops,
-        },
-        "perf": {f.name: getattr(system.perf, f.name)
-                 for f in dataclass_fields(PerfStats)},
-        "rng_state": system.rng.bit_generator.state,
-        "live": service.live.state_dict(),
-    }
+    faults = topology = None
     if system.fault_injector is not None:
-        # Conditional key: fault-free snapshots stay byte-identical to the
-        # pre-fault layout.  The onset stream itself is a pure function of
-        # the fault seed, so its position (``consumed``) plus the pending
-        # onset already in the engine section fully determine the future.
-        payload["faults"] = {
-            "consumed": system.fault_injector.consumed,
-            "down": sorted(system._down),
-            "slowdowns": [
-                [token, list(scope), factor]
-                for token, (scope, factor) in system._slowdowns.items()],
-            "partitions": [
-                [token, list(ids), started]
-                for token, (ids, started) in system._partitions.items()],
-            "cancelled_completions": [
-                [task_id, machine_id, time, count]
+        faults = _Faults(
+            consumed=system.fault_injector.consumed,
+            down=sorted(system._down),
+            slowdowns=[_Slowdown(token, scope, factor)
+                       for token, (scope, factor)
+                       in system._slowdowns.items()],
+            partitions=[_Partition(token, ids, started)
+                        for token, (ids, started)
+                        in system._partitions.items()],
+            cancelled_completions=[
+                _Cancelled(task_id, machine_id, time, count)
                 for (task_id, machine_id, time), count
                 in system._cancelled_completions.items()],
-            "counters": {
-                "num_crashes": system.num_crashes,
-                "num_requeued_tasks": system.num_requeued_tasks,
-                "num_crash_lost": system.num_crash_lost,
-                "partition_time": system.partition_time,
-            },
-        }
+            counters=_read_attrs(_FaultCounters, system))
     if system._bound_topology is not None:
-        # Conditional key: topology-free snapshots stay byte-identical to
-        # the pre-topology layout.  Transfer scheduling is deterministic
-        # (no RNG), so the shared-link clocks plus the counters are the
-        # complete network state.
-        payload["topology"] = {
-            "link_busy": [[group, until]
-                          for group, until
-                          in sorted(system._link_busy.items())],
-            "counters": {
-                "num_transfers": system.num_transfers,
-                "transfer_time": system.transfer_time_total,
-                "transfer_wait": system.transfer_wait_total,
-            },
-        }
-    return payload
+        topology = _Topology(
+            link_busy=[_LinkBusy(group, until) for group, until
+                       in sorted(system._link_busy.items())],
+            counters=_TransferTotals(
+                num_transfers=system.num_transfers,
+                transfer_time=system.transfer_time_total,
+                transfer_wait=system.transfer_wait_total))
+    return _Snapshot(
+        format=SNAPSHOT_FORMAT, spec=service.spec, horizon=service.horizon,
+        next_task_id=service._next_task_id,
+        traffic_consumed=service._consumed,
+        engine=_Engine(now=engine.now, dispatched=engine.dispatched_events,
+                       pending=engine.pending_snapshot()),
+        tasks=list(system.tasks.values()),
+        machines=[_Machine(id=m.id, running_task=m.running_task,
+                           pending=m.pending_tasks, busy_time=m.busy_time,
+                           started_tasks=m.started_tasks)
+                  for m in system.machines],
+        batch_queue=[_Queued(task_id, system.tasks[task_id].deadline)
+                     for task_id in system.batch_queue.snapshot()],
+        counters=_read_attrs(_Counters, system),
+        perf=system.perf,
+        rng_state=_RngState(**system.rng.bit_generator.state),
+        live=service.live.state(),
+        faults=faults, topology=topology).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -236,133 +241,92 @@ def restore_state(payload: Mapping[str, object],
                   on_window: Optional[Callable[["WindowStats"], None]] = None,
                   chunk_tasks: int = 512) -> "StreamingSimulation":
     """Rebuild a live service from :func:`snapshot_state` output (a
-    non-object payload or section, a non-list section, a missing key or
-    an invalid RNG state raises ``ValueError`` naming its path)."""
-    from .service import _require_mapping
-
-    _require_mapping(payload, "snapshot payload")
+    malformed value or a missing key raises ``ValueError`` naming its
+    path)."""
+    require_mapping(payload, "snapshot payload")
+    marker = payload.get("format")
+    if marker != SNAPSHOT_FORMAT:
+        raise ValueError(f"not a stream snapshot: snapshot format must be "
+                         f"{SNAPSHOT_FORMAT!r}, got {marker!r}")
     try:
-        return _restore(payload, on_window, chunk_tasks)
+        snapshot = _Snapshot.from_dict(payload, "snapshot")
     except KeyError as exc:
         if type(exc) is not KeyError:  # registry typos carry their own hint
             raise
         raise ValueError(f"snapshot is missing key {exc.args[0]!r}") from None
+    return _restore(snapshot, on_window, chunk_tasks)
 
 
-def _restore(payload: Mapping[str, object],
+def _restore(snapshot: _Snapshot,
              on_window: Optional[Callable[["WindowStats"], None]],
              chunk_tasks: int) -> "StreamingSimulation":
-    from .service import (StreamingSimulation, StreamSpec, _require_list,
-                          _require_mapping)
+    from .service import StreamingSimulation
 
-    marker = payload.get("format")
-    if marker != SNAPSHOT_FORMAT:
-        raise ValueError(f"not a stream snapshot (format {marker!r}; "
-                         f"expected {SNAPSHOT_FORMAT!r})")
-    for key in ("spec", "engine", "counters", "perf", "rng_state", "live"):
-        _require_mapping(payload[key], f"snapshot {key}")
-    for key in ("tasks", "machines", "batch_queue"):
-        _require_list(payload[key], f"snapshot {key}")
-    _require_list(payload["engine"]["pending"], "snapshot engine.pending")
-    spec = StreamSpec.from_dict(payload["spec"])
-    service = StreamingSimulation(spec, on_window=on_window,
+    service = StreamingSimulation(snapshot.spec, on_window=on_window,
                                   chunk_tasks=chunk_tasks)
     system = service.system
 
     # Traffic position: regenerate and discard the already-consumed prefix
     # of the (seed-determined) stream.
-    service._fast_forward_traffic(int(payload["traffic_consumed"]))
-    service._next_task_id = int(payload["next_task_id"])
-    service._horizon = int(payload["horizon"])
+    service._fast_forward_traffic(snapshot.traffic_consumed)
+    service._next_task_id = snapshot.next_task_id
+    service._horizon = snapshot.horizon
 
     # Tasks, machines and the batch queue (FIFO order preserved so expiry
     # tie-breaking reproduces exactly).
     system.tasks.clear()
-    for i, entry in enumerate(payload["tasks"]):
-        _require_mapping(entry, f"snapshot tasks[{i}]")
-        task = _task_from_dict(entry)
+    for task in snapshot.tasks:
         system.tasks[task.id] = task
     machines_by_id = {m.id: m for m in system.machines}
-    for i, entry in enumerate(payload["machines"]):
-        _require_mapping(entry, f"snapshot machines[{i}]")
-        _require_list(entry["pending"], f"snapshot machines[{i}].pending")
-        machine = machines_by_id.get(int(entry["id"]))
-        if machine is None:
-            raise ValueError(f"snapshot references unknown machine "
-                             f"{entry['id']}")
-        machine.restore_runtime_state(
-            running_task=entry["running_task"],
-            pending=list(entry["pending"]),
-            busy_time=int(entry["busy_time"]),
-            started_tasks=int(entry["started_tasks"]))
-    for i, pair in enumerate(payload["batch_queue"]):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"snapshot batch_queue[{i}] must be a "
-                             f"[task_id, deadline] pair, got {pair!r}")
-        task_id, deadline = pair
-        system.batch_queue.push(int(task_id), int(deadline))
+    for i, entry in enumerate(snapshot.machines):
+        with _section(f"machines[{i}]"):
+            if entry.id not in machines_by_id:
+                raise ValueError(f"unknown machine {entry.id}")
+            machines_by_id[entry.id].restore_runtime_state(
+                running_task=entry.running_task, pending=entry.pending,
+                busy_time=entry.busy_time, started_tasks=entry.started_tasks)
+    for i, (task_id, deadline) in enumerate(snapshot.batch_queue):
+        with _section(f"batch_queue[{i}]"):
+            system.batch_queue.push(task_id, deadline)
 
-    counters = payload["counters"]
-    system.num_mapping_events = int(counters["num_mapping_events"])
-    system.num_proactive_drops = int(counters["num_proactive_drops"])
-    system.num_reactive_queue_drops = int(counters["num_reactive_queue_drops"])
-    system.num_batch_expired_drops = int(counters["num_batch_expired_drops"])
-
-    restored = PerfStats.from_dict(dict(payload["perf"]))
-    for f in dataclass_fields(PerfStats):
-        setattr(system.perf, f.name, getattr(restored, f.name))
+    # The counters records mirror HCSystem / PerfStats attribute names.
+    vars(system).update(vars(snapshot.counters))
+    vars(system.perf).update(vars(snapshot.perf))
 
     # RNG: the PCG64 state dict round-trips through JSON exactly (plain
     # Python integers), so execution sampling continues draw-for-draw.
-    state = dict(payload["rng_state"])
-    try:
-        if isinstance(state.get("state"), Mapping):
-            state["state"] = {k: int(v) for k, v in state["state"].items()}
-        system.rng.bit_generator.state = state
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"snapshot rng_state is invalid: {exc}") from None
+    with _section("rng_state"):
+        system.rng.bit_generator.state = vars(snapshot.rng_state)
 
     # Engine: replay the pending events (already in dispatch order) into
     # the fresh heap; new sequence numbers preserve the tie-breaking.
-    engine_state = payload["engine"]
-    pending_events = []
-    for i, entry in enumerate(engine_state["pending"]):
-        _require_mapping(entry, f"snapshot engine.pending[{i}]")
-        pending_events.append(_event_from_dict(entry))
-    system.engine.load_state(
-        now=int(engine_state["now"]),
-        dispatched=int(engine_state["dispatched"]),
-        events=pending_events)
+    engine = snapshot.engine
+    system.engine.load_state(now=engine.now, dispatched=engine.dispatched,
+                             events=engine.pending)
 
     # Open-task accounting (terminal transitions decrement it; the restore
     # path bypassed submit()).
     system._open_tasks = sum(1 for t in system.tasks.values()
                              if not t.status.is_terminal)
 
-    faults = payload.get("faults")
+    faults = snapshot.faults
     if faults is not None:
         if system.fault_injector is None:
             raise ValueError("snapshot carries fault state but its spec "
                              "has no fault process")
-        system._down = {int(m) for m in faults["down"]}
-        system._slowdowns = {
-            int(token): (tuple(int(m) for m in scope), float(factor))
-            for token, scope, factor in faults["slowdowns"]}
-        system._partitions = {
-            int(token): (tuple(int(m) for m in ids), int(started))
-            for token, ids, started in faults["partitions"]}
+        system._down = set(faults.down)
+        system._slowdowns = {s.token: (s.machine_ids, s.factor)
+                             for s in faults.slowdowns}
+        system._partitions = {p.token: (p.machine_ids, p.started)
+                              for p in faults.partitions}
         system._cancelled_completions = {
-            (int(task_id), int(machine_id), int(time)): int(count)
-            for task_id, machine_id, time, count
-            in faults["cancelled_completions"]}
-        counters = faults["counters"]
-        system.num_crashes = int(counters["num_crashes"])
-        system.num_requeued_tasks = int(counters["num_requeued_tasks"])
-        system.num_crash_lost = int(counters["num_crash_lost"])
-        system.partition_time = int(counters["partition_time"])
+            (c.task_id, c.machine_id, c.time): c.count
+            for c in faults.cancelled_completions}
+        vars(system).update(vars(faults.counters))
         # Stream position: replay the seeded onset stream; the pending
         # onset itself was restored with the engine events above.
-        system.fault_injector.fast_forward(int(faults["consumed"]))
+        with _section("faults.consumed"):
+            system.fault_injector.fast_forward(faults.consumed)
         # A crash cancels the running task's completion at
         # start_time + sampled duration; rebuild the sampled durations of
         # in-flight runs from their pending completion events.  A key with
@@ -371,7 +335,7 @@ def _restore(payload: Mapping[str, object],
         # the derived duration); keys fully covered by cancellations are
         # stale and would derive the wrong duration from the new start.
         pending_counts: Dict[tuple, int] = {}
-        for event in pending_events:
+        for event in engine.pending:
             if isinstance(event, TaskCompletion):
                 key = (event.task_id, event.machine_id, event.time)
                 pending_counts[key] = pending_counts.get(key, 0) + 1
@@ -383,19 +347,18 @@ def _restore(payload: Mapping[str, object],
             if task is not None and task.start_time is not None:
                 system._sampled_exec[task_id] = time - task.start_time
 
-    topology = payload.get("topology")
+    topology = snapshot.topology
     if topology is not None:
         if system._bound_topology is None:
             raise ValueError("snapshot carries topology state but its spec "
                              "binds no effective topology")
-        system._link_busy = {str(group): int(until)
-                             for group, until in topology["link_busy"]}
-        counters = topology["counters"]
-        system.num_transfers = int(counters["num_transfers"])
-        system.transfer_time_total = int(counters["transfer_time"])
-        system.transfer_wait_total = int(counters["transfer_wait"])
+        system._link_busy = dict(topology.link_busy)
+        system.num_transfers = topology.counters.num_transfers
+        system.transfer_time_total = topology.counters.transfer_time
+        system.transfer_wait_total = topology.counters.transfer_wait
 
-    service.live.load_state(payload["live"])
+    with _section("live"):
+        service.live.load_state(snapshot.live)
     return service
 
 

@@ -19,12 +19,12 @@ unchanged, so laptop-scale runs preserve the shape of the paper's results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.pet import PETMatrix
+from ..records import Record
 from ..sim.machine import Machine
 from ..sim.task import Task, TaskType
 from .arrivals import rate_for_oversubscription
@@ -60,7 +60,7 @@ PAPER_TASK_COUNTS: Dict[str, int] = {"20k": 20_000, "30k": 30_000, "40k": 40_000
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Parameters defining a scenario preset.
 
     Attributes
@@ -118,28 +118,6 @@ class ScenarioSpec:
         machine).
         """
         return OVERSUBSCRIPTION_LEVELS[self.level] * self.rate_multiplier
-
-    # ------------------------------------------------------------------
-    # Serialisation hooks (used by the declarative experiment plans)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain JSON/TOML-serialisable representation of the spec."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Unknown keys are rejected with the accepted set in the message, so a
-        hand-edited plan or spool cannot silently drop a parameter.
-        """
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ScenarioSpec key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(sorted(known))}")
-        return cls(**payload)
 
 
 @dataclass

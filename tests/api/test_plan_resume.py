@@ -129,6 +129,11 @@ def test_missing_and_malformed_spools_rejected(plan, tmp_path):
     def edited(**changes):
         return json.dumps({**record, **changes})
 
+    def first_trial(section, key, value):
+        trial = json.loads(json.dumps(trials[0]))
+        trial[section][key] = value
+        return edited(trials=[trial] + trials[1:])
+
     no_trials = {k: v for k, v in record.items() if k != "trials"}
     cases = [
         (["[1]", cell], "line 1 is a JSON list, not an object"),
@@ -142,6 +147,14 @@ def test_missing_and_malformed_spools_rejected(plan, tmp_path):
          "line 2: 'index' must be an integer, got str"),
         ([header, edited(trials=[{}] * len(trials))],
          "cell 0: a trial payload has no key 'robustness'"),
+        # Trial values are checked against their fields before any cell
+        # runs, naming the line and the path.
+        ([header, first_trial("perf", "pmf_folds", "x")],
+         "line 2: trials[0].perf.pmf_folds must be an integer, got 'x'"),
+        ([header, first_trial("drops", "reactive", 2.5)],
+         "line 2: trials[0].drops.reactive must be an integer, got 2.5"),
+        ([header, first_trial("perf", "bogus", 1)],
+         "line 2: unknown trials[0].perf key(s) 'bogus'"),
     ]
     for lines, message in cases:
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")

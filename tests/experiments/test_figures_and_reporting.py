@@ -1,5 +1,7 @@
 """Tests for the figure harness, reporting and the CLI (tiny scales)."""
 
+import re
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -171,6 +173,24 @@ class TestReporting:
                                        upper=2.7e-5, result=None)]
         text = format_figure_table(fig)
         assert "0.000023" in text
+
+    def test_long_labels_and_bounds_keep_columns_apart(self):
+        """A long axis label or a 7-decimal CI must not run into its
+        neighbour (Fig. 9's labels at laptop scale)."""
+        from repro.experiments.figures import FigurePoint
+
+        fig = FigureResult(figure_id="fig9", title="cost",
+                           x_label="Oversubscription level",
+                           y_label="Cost / tasks completed on time (%)")
+        fig.series["PAM+Heuristic"] = [FigurePoint(
+            x="20k", value=6.3e-6, lower=6.3e-6, upper=6.3e-6, result=None)]
+        lines = format_figure_table(fig).splitlines()
+        header, row = lines[2], lines[-1]
+        assert re.match(r"series {2,}Oversubscription level {2,}"
+                        r"Cost / tasks completed on time \(%\) {2,}95% CI",
+                        header)
+        assert re.match(r"PAM\+Heuristic {2,}20k {2,}0\.0000063 {2,}"
+                        r"\[0\.0000063, 0\.0000063\]", row)
 
 
 class TestCLI:
