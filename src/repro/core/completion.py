@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,14 +46,17 @@ __all__ = [
     "queue_completion_pmfs",
     "queue_completion_with_drops",
     "chance_of_success",
+    "chance_upper_bound",
     "NUMERICS_PROFILES",
     "FAST_FOLD_SUP_NORM_TOL",
 ]
 
-#: Recognised numerics profiles; ``exact`` reproduces the naive arithmetic
-#: bit-for-bit, ``fast`` trades float ordering for closed-form chance and
-#: mean scores (the batched FFT fold, :meth:`ChainFolder.fold_batch`, has
-#: no caller on the simulator's paths yet).
+#: Recognised numerics profiles.  ``exact`` reproduces the naive arithmetic
+#: bit-for-bit; it reads the closed-form chance (:func:`chance_upper_bound`)
+#: only as a certified upper bound that skips folds which cannot change a
+#: decision.  ``fast`` trades float ordering for closed-form chance and mean
+#: *scores* (the batched FFT fold, :meth:`ChainFolder.fold_batch`, has no
+#: caller on the simulator's paths yet).
 NUMERICS_PROFILES = ("exact", "fast")
 
 #: Documented per-PMF sup-norm bound of the ``fast`` profile against
@@ -153,6 +156,38 @@ def _mix(conv: np.ndarray, prev: PMF, exec_origin: int, k: int) -> PMF:
     return PMF._trusted(lo, out)
 
 
+def _exec_cdf(exec_pmf: PMF) -> np.ndarray:
+    """Prefix-sum CDF of ``exec_pmf``: ``cdf[j] = P(exec < origin + j)``.
+
+    Length ``m + 1`` with ``cdf[0] == 0`` and ``cdf[m]`` the total mass.
+    """
+    ep = exec_pmf.probs
+    cdf = np.empty(ep.size + 1, dtype=np.float64)
+    cdf[0] = 0.0
+    np.cumsum(ep, out=cdf[1:])
+    cdf.setflags(write=False)
+    return cdf
+
+
+def _chance_bound(prev: PMF, exec_pmf: PMF, deadline: int,
+                  exec_cdf: Callable[[PMF], np.ndarray]) -> float:
+    """:func:`chance_upper_bound` with the execution CDF from ``exec_cdf``."""
+    if prev.is_empty or exec_pmf.is_empty:
+        return 0.0
+    po = prev.origin
+    k = deadline - po
+    if k <= 0:
+        return 0.0
+    pp = prev.probs
+    if k > pp.size:
+        k = pp.size
+    cdf = exec_cdf(exec_pmf)
+    idx = (deadline - po - exec_pmf.origin) - np.arange(k)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, cdf.size - 1, out=idx)
+    return float(np.dot(pp[:k], cdf[idx]))
+
+
 def _memo_deadline(prev: PMF, deadline: int) -> int:
     """Memo key deadline of a fold onto ``prev``.
 
@@ -179,18 +214,17 @@ class ChainFolder:
     references to their key PMFs so the ids stay valid, and the ``is``
     re-check on every hit makes a stale-id collision impossible.
     The simulator's caches hand the same tail PMF objects back and PET
-    entries are shared objects, so repeated folds -- the dropping
-    heuristic re-walking a queue, machines of the same type evaluating the
-    same candidate task, an unchanged queue revisited at a later event --
-    collapse into dictionary hits.
+    entries are shared objects, so repeated folds -- machines of the same
+    type evaluating the same candidate task, an unchanged queue revisited
+    at a later event -- collapse into dictionary hits.
 
     ``numerics`` selects the score-plane arithmetic profile.  Under the
     default ``"exact"`` every fold is bit-identical to the naive composed
     form.  Under ``"fast"`` the scoring entry points gain two
-    float-order-breaking backends -- :meth:`append_chance` (closed-form
-    chance of success as a dot product against a cached execution CDF) and
-    :meth:`fold_batch` (same-plan Eq. 1 folds through one batched real
-    FFT) -- both bounded against exact by
+    float-order-breaking backends -- :meth:`append_chance` (the closed-form
+    :func:`chance_upper_bound`, used as the score itself rather than as a
+    bound) and :meth:`fold_batch` (same-plan Eq. 1 folds through one
+    batched real FFT) -- both bounded against exact by
     :data:`FAST_FOLD_SUP_NORM_TOL`.  :meth:`fold` itself always stays
     exact, so committed queue tails are unchanged; only scores consumed by
     mapping selection use the fast paths.
@@ -217,9 +251,9 @@ class ChainFolder:
         self.numerics = numerics
         self.memo_hits = 0
         self._memo: Dict[Tuple[int, int, int], Tuple[PMF, PMF, PMF]] = {}
-        #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); the dropping
-        #: heuristic queries the same chance of success for the same chain
-        #: PMF many times while re-walking its Eq. 8 windows.
+        #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); chain PMFs
+        #: come back from the fold memo as the same objects, so a queue
+        #: revisited at a later event asks for the same chances again.
         self._chance_memo: Dict[Tuple[int, int], Tuple[PMF, float]] = {}
         #: id(pmf) -> (pmf, mean); the mapping score plane asks for the
         #: expected completion of the same (memoised, identity-stable)
@@ -262,7 +296,7 @@ class ChainFolder:
         """Memoised equivalent of :func:`completion_pmf`.
 
         The memo is adaptive: workloads whose folds rarely repeat (no
-        proactive dropper re-walking queues) would pay an entry allocation
+        proactive dropper revisiting queues) would pay an entry allocation
         per fold for nothing, so once the hit rate over :data:`MEMO_WINDOW`
         probes falls below :data:`MEMO_MIN_HIT_RATE` the folder stops
         storing and folds straight through.
@@ -332,44 +366,25 @@ class ChainFolder:
         hit = self._cdf.get(key)
         if hit is not None and hit[0] is exec_pmf:
             return hit[1]
-        ep = exec_pmf.probs
-        cdf = np.empty(ep.size + 1, dtype=np.float64)
-        cdf[0] = 0.0
-        np.cumsum(ep, out=cdf[1:])
-        cdf.setflags(write=False)
+        cdf = _exec_cdf(exec_pmf)
         self._cdf[key] = (exec_pmf, cdf)
         return cdf
 
     def append_chance(self, prev: PMF, exec_pmf: PMF, deadline: int) -> float:
-        """Closed-form chance of success of one Eq. 1 append (fast profile).
+        """Memoised :func:`chance_upper_bound` (the fast profile's chance).
 
-        Equals ``fold(prev, exec, d).mass_before(d)`` without materialising
-        the convolution: the reactive-drop branch of Eq. 1 lives at or
-        after the deadline, so only the on-time branch contributes, and its
-        mass strictly below ``d`` is the dot product of the on-time slice
-        of ``prev`` with the execution CDF evaluated at ``d - t`` -- an
-        index gather into the cached prefix sum, clamped at the support
-        ends.  Differs from the exact value only by the skipped pruning and
-        float summation order, within :data:`FAST_FOLD_SUP_NORM_TOL`.
+        The closed form equals ``fold(prev, exec, d).mass_before(d)`` up to
+        the pruning it skips and the float summation order, within
+        :data:`FAST_FOLD_SUP_NORM_TOL`, so the ``fast`` profile scores
+        mapping with it directly.  The execution CDF comes from this
+        folder's cache.
         """
         deadline = int(deadline)
         key = (id(prev), id(exec_pmf), deadline)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._append_chance_memo.get(key)
         if hit is not None and hit[0] is prev and hit[1] is exec_pmf:
             return hit[2]
-        if prev.is_empty or exec_pmf.is_empty:
-            return 0.0
-        po = prev.origin
-        k = deadline - po
-        if k <= 0:
-            return 0.0
-        pp = prev.probs
-        if k > pp.size:
-            k = pp.size
-        cdf = self._exec_cdf(exec_pmf)
-        idx = (deadline - po - exec_pmf.origin) - np.arange(k)
-        np.clip(idx, 0, cdf.size - 1, out=idx)
-        value = float(np.dot(pp[:k], cdf[idx]))
+        value = _chance_bound(prev, exec_pmf, deadline, self._exec_cdf)
         if len(self._append_chance_memo) >= self.memo_limit:
             self._evict_oldest(self._append_chance_memo)
         self._append_chance_memo[key] = (prev, exec_pmf, value)
@@ -711,13 +726,39 @@ def batched_append_scores(prev: PMF, exec_pmfs: Sequence[PMF],
     return pmfs, means, chances
 
 
+def chance_upper_bound(prev: PMF, exec_pmf: PMF, deadline: int) -> float:
+    """Closed-form ``P(prev + E < deadline)``: Eq. 2 of one Eq. 1 append.
+
+    The reactive-drop branch of Eq. 1 lies at or after the deadline, so
+    only the on-time part of ``prev`` can finish in time; its mass strictly
+    before ``d`` is the dot product of the on-time slice of ``prev`` with
+    the execution CDF at ``d - t`` (an index gather into the prefix sum,
+    clamped at the support ends).  No convolution is materialised.
+
+    It bounds chances of success from above.  Mathematically it equals
+    ``fold(prev, exec, d).mass_before(d)`` before pruning; pruning only
+    removes mass, and summation order moves the two by far less than
+    :data:`FAST_FOLD_SUP_NORM_TOL`.  A chain folded onto any PMF whose mass
+    lies at or after ``prev``'s (every later queue position behind
+    ``prev``) has an even smaller chance, because each fold moves mass
+    later or leaves it in place.  ``docs/INVARIANTS.md`` gives the proof;
+    the dropping heuristic and PAM's phase 1 skip folds with it.
+
+    The execution CDF is read from the installed folder's cache when one
+    is active and computed on the spot otherwise; the value is the same.
+    """
+    folder = _ACTIVE_FOLDER
+    return _chance_bound(prev, exec_pmf, int(deadline),
+                         _exec_cdf if folder is None else folder._exec_cdf)
+
+
 def chance_of_success(completion: PMF, deadline: int) -> float:
     """Probability that a task completes strictly before its deadline (Eq. 2).
 
     Served from the installed :class:`ChainFolder`'s memo when one is
     active: chain PMFs are identity-stable (memoised folds return the same
-    object), so the repeated queries issued by the dropping heuristic while
-    re-walking a queue collapse into dictionary hits.
+    object), so the repeated queries issued for a queue revisited at a
+    later event collapse into dictionary hits.
     """
     folder = _ACTIVE_FOLDER
     if folder is not None:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..completion import QueueEntry, chance_of_success, completion_pmf
+from ..completion import (FAST_FOLD_SUP_NORM_TOL, chance_of_success,
+                          chance_upper_bound, completion_pmf)
 from ..pmf import PMF
-from ..robustness import (instantaneous_robustness,
-                          instantaneous_robustness_with_drops)
 from .base import DropDecision, DroppingPolicy, MachineQueueView
 
 __all__ = ["ProactiveHeuristicDropping", "DEFAULT_BETA", "DEFAULT_ETA"]
@@ -74,65 +73,87 @@ class ProactiveHeuristicDropping(DroppingPolicy):
         pass: the completion chain of later tasks is computed over the
         surviving predecessors only, mirroring an actual removal from the
         machine queue.
+
+        The walk keeps one chain: ``chain[n]`` is the completion PMF of
+        task ``n`` behind the tasks kept so far, so the kept side of Eq. 8
+        is read off it.  The drop side is folded only when the closed-form
+        bound of :func:`~repro.core.completion.chance_upper_bound` cannot
+        rule the drop out: the chance of each task behind a dropped ``i``
+        is at most ``P(prefix + E_n < d_n)``, so when the sum of those
+        bounds plus :data:`~repro.core.completion.FAST_FOLD_SUP_NORM_TOL`
+        is at most ``β`` times the kept score, ``i`` is kept without a
+        fold.  Decisions and both robustness values are exactly those of
+        re-folding every window (``docs/INVARIANTS.md``).
         """
-        entries = list(view.entries)
+        entries = view.entries
         q = len(entries)
         if q == 0:
             return DropDecision(drop_indices=())
 
-        robustness_before = instantaneous_robustness(view.base_pmf, entries)
+        # The no-drop chain; its chances sum to the robustness before.
+        chain: List[PMF] = []
+        probs: List[float] = []
+        prev = view.base_pmf
+        for entry in entries:
+            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
+            chain.append(prev)
+            probs.append(chance_of_success(prev, entry.deadline))
+        robustness_before = float(sum(probs))
 
         dropped: List[int] = []
         # ``prefix`` is the completion PMF of the last surviving task ahead of
-        # the position currently being examined.
+        # the position currently being examined; ``chain[n]`` and
+        # ``probs[n]`` hold behind the current drops for ``n < valid``.
         prefix = view.base_pmf
-        for i in range(q):
-            # The last task of a queue has an empty influence zone: dropping
-            # it can never improve instantaneous robustness, so it is skipped
-            # (Section IV-D).
-            if i == q - 1:
-                break
+        valid = q
+        beta = self.beta
+        # The last task of a queue has an empty influence zone: dropping it
+        # can never improve instantaneous robustness, so it is skipped
+        # (Section IV-D).
+        for i in range(q - 1):
             window_end = min(i + self.eta, q - 1)
+            for n in range(valid, window_end + 1):
+                entry = entries[n]
+                chain[n] = completion_pmf(chain[n - 1], entry.exec_pmf,
+                                          entry.deadline)
+                probs[n] = chance_of_success(chain[n], entry.deadline)
+            valid = max(valid, window_end + 1)
 
-            # Chances of success of tasks i..window_end when i is kept.
-            kept_probs = self._window_probs(prefix, entries, i, window_end,
-                                            skip=None)
+            keep_score = sum(probs[i:window_end + 1])  # Σ_{n=i}^{i+η} p_{nj}
+            threshold = beta * keep_score
+            bound = FAST_FOLD_SUP_NORM_TOL
+            for n in range(i + 1, window_end + 1):
+                entry = entries[n]
+                bound += chance_upper_bound(prefix, entry.exec_pmf,
+                                            entry.deadline)
+                if bound > threshold:
+                    break
+            if bound <= threshold:
+                prefix = chain[i]  # Eq. 8 cannot hold: keep i, no fold
+                continue
+
             # Chances of success of tasks i+1..window_end when i is dropped.
-            drop_probs = self._window_probs(prefix, entries, i, window_end,
-                                            skip=i)
+            drop_chain: List[PMF] = []
+            drop_probs: List[float] = []
+            prev = prefix
+            for n in range(i + 1, window_end + 1):
+                entry = entries[n]
+                prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
+                drop_chain.append(prev)
+                drop_probs.append(chance_of_success(prev, entry.deadline))
+            drop_score = sum(drop_probs)  # Σ_{n=i+1}^{i+η} p^{(i)}_{nj}
 
-            keep_score = sum(kept_probs)          # Σ_{n=i}^{i+η} p_{nj}
-            drop_score = sum(drop_probs[1:])      # Σ_{n=i+1}^{i+η} p^{(i)}_{nj}
-
-            if drop_score > self.beta * keep_score:
+            if drop_score > threshold:
                 dropped.append(i)
-                # prefix unchanged: task i vanishes from the chain.
+                # prefix unchanged: task i vanishes from the chain, and the
+                # drop branch becomes the chain behind it.
+                probs[i] = 0.0
+                chain[i + 1:window_end + 1] = drop_chain
+                probs[i + 1:window_end + 1] = drop_probs
+                valid = window_end + 1
             else:
-                prefix = completion_pmf(prefix, entries[i].exec_pmf,
-                                        entries[i].deadline)
+                prefix = chain[i]
 
-        robustness_after = instantaneous_robustness_with_drops(
-            view.base_pmf, entries, dropped)
         return DropDecision(drop_indices=dropped,
                             robustness_before=robustness_before,
-                            robustness_after=robustness_after)
-
-    # ------------------------------------------------------------------
-    def _window_probs(self, prefix: PMF, entries: List[QueueEntry], start: int,
-                      end: int, skip: int | None) -> List[float]:
-        """Chances of success of positions ``start..end`` given ``prefix``.
-
-        ``skip`` marks a position that is provisionally dropped; its chance
-        of success is recorded as ``0.0`` and it does not contribute to the
-        completion chain of the tasks behind it.
-        """
-        probs: List[float] = []
-        prev = prefix
-        for n in range(start, end + 1):
-            entry = entries[n]
-            if skip is not None and n == skip:
-                probs.append(0.0)
-                continue
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
-            probs.append(chance_of_success(prev, entry.deadline))
-        return probs
+                            robustness_after=float(sum(probs)))

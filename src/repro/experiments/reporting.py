@@ -20,14 +20,17 @@ def format_aligned_table(headers: Sequence[str],
     """Render string rows as an aligned table with a dashed separator.
 
     Shared by the sweep-result tables and the crossover report so the
-    column layout stays consistent everywhere.
+    column layout stays consistent everywhere.  The last column is not
+    padded, so no line ends in spaces.
     """
     widths = [max(len(h), *(len(r[i]) for r in rows)) + 2 if rows else len(h) + 2
               for i, h in enumerate(headers)]
-    lines = ["".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("".join("-" * (w - 2) + "  " for w in widths).rstrip())
-    for cells in rows:
-        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
+
+    def line(cells: Sequence[str]) -> str:
+        return "".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    lines = [line(headers), line(["-" * (w - 2) for w in widths])]
+    lines.extend(line(cells) for cells in rows)
     return "\n".join(lines)
 
 

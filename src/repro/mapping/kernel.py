@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.completion import FAST_FOLD_SUP_NORM_TOL, chance_upper_bound
 from .base import (Assignment, MachineState, MappingContext, ScoreSpec,
                    TaskView, TwoPhaseMappingHeuristic)
 
@@ -105,7 +106,7 @@ register_score_column(
     "expected_completion",
     lambda ctx, machine, task: ctx.expected_completion(machine, task),
     kind="appended_mean")
-register_score_column(
+_NEG_CHANCE = register_score_column(
     "neg_chance_of_success",
     lambda ctx, machine, task: -ctx.chance_of_success(machine, task),
     kind="appended_chance", negate=True)
@@ -229,6 +230,14 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
     tb1 = spec.phase1_tiebreak if spec is not None else ("machine_id",)
     tb2 = spec.phase2_tiebreak if spec is not None else ("task_id",)
     per_machine = heuristic.assign_per_machine
+    # PAM's phase 1 under exact numerics: bounded, same pick (see
+    # ``_max_chance_machine``).
+    max_chance = (spec is not None
+                  and spec.phase1 == ("neg_chance_of_success",)
+                  and tb1 == ("machine_id",)
+                  and SCORE_COLUMNS.get("neg_chance_of_success") is _NEG_CHANCE
+                  and not ctx._fast
+                  and not _overrides_scores(heuristic))
 
     unmapped: List[TaskView] = list(tasks)
     assignments: List[Assignment] = []
@@ -243,6 +252,10 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
         # the timing reference, so it must not pay for generality).
         pairs: List[Tuple[TaskView, MachineState]] = []
         for task in unmapped:
+            if max_chance:
+                pairs.append((task, _max_chance_machine(ctx, task,
+                                                        free_machines)))
+                continue
             if tb1 == ("machine_id",):
                 key = lambda m: (heuristic.phase1_score(ctx, m, task),
                                  m.machine_id)
@@ -283,6 +296,36 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
             unmapped.remove(task)
             assignments.append(Assignment(task.task_id, machine.machine_id))
     return assignments
+
+
+def _max_chance_machine(ctx: MappingContext, task: TaskView,
+                        machines: Sequence[MachineState]) -> MachineState:
+    """``min(machines, key=(-chance of success, machine_id))`` with fewer folds.
+
+    Machines are visited in descending
+    :func:`~repro.core.completion.chance_upper_bound` of the task appended
+    to their tail, which no exact chance exceeds by more than
+    :data:`FAST_FOLD_SUP_NORM_TOL`.  A machine whose bound plus that
+    tolerance is below the best exact chance found so far cannot win or
+    tie, and neither can any machine after it, so the visit stops there.
+    A bound of exactly ``0.0`` is an exact chance of ``0.0``
+    (``docs/INVARIANTS.md``), so no fold is needed for it.  The pick is
+    the reference loop's.
+    """
+    bounds = sorted(((chance_upper_bound(m.tail_pmf, ctx.exec_pmf(task, m),
+                                         task.deadline), m)
+                     for m in machines),
+                    key=lambda bm: -bm[0])
+    best = bounds[0][1]
+    best_chance = -1.0
+    for bound, machine in bounds:
+        if bound + FAST_FOLD_SUP_NORM_TOL < best_chance:
+            break
+        chance = 0.0 if bound == 0.0 else ctx.chance_of_success(machine, task)
+        if chance > best_chance or (chance == best_chance
+                                    and machine.machine_id < best.machine_id):
+            best, best_chance = machine, chance
+    return best
 
 
 # ----------------------------------------------------------------------

@@ -257,6 +257,16 @@ def restore_state(payload: Mapping[str, object],
     return _restore(snapshot, on_window, chunk_tasks)
 
 
+def _check_count(where: str, value: int, bound: Optional[int] = None,
+                 what: str = "") -> None:
+    """Reject a count outside ``[0, bound]`` (``bound`` ``None``: no cap)."""
+    with _section(where):
+        if value < 0:
+            raise ValueError(f"{value} is negative")
+        if bound is not None and value > bound:
+            raise ValueError(f"{value} exceeds {what} ({bound})")
+
+
 def _restore(snapshot: _Snapshot,
              on_window: Optional[Callable[["WindowStats"], None]],
              chunk_tasks: int) -> "StreamingSimulation":
@@ -265,6 +275,20 @@ def _restore(snapshot: _Snapshot,
     service = StreamingSimulation(snapshot.spec, on_window=on_window,
                                   chunk_tasks=chunk_tasks)
     system = service.system
+
+    # Stream positions are replayed one event at a time, so each is bounded
+    # by a count it cannot exceed: every id minted is a task in the
+    # snapshot, every consumed arrival minted one id, and every fault onset
+    # consumed was dispatched or is still pending in the engine.
+    _check_count("next_task_id", snapshot.next_task_id, len(snapshot.tasks),
+                 "the number of tasks")
+    _check_count("traffic_consumed", snapshot.traffic_consumed,
+                 snapshot.next_task_id, "next_task_id")
+    _check_count("engine.dispatched", snapshot.engine.dispatched)
+    if snapshot.faults is not None:
+        _check_count("faults.consumed", snapshot.faults.consumed,
+                     snapshot.engine.dispatched + len(snapshot.engine.pending),
+                     "dispatched plus pending engine events")
 
     # Traffic position: regenerate and discard the already-consumed prefix
     # of the (seed-determined) stream.

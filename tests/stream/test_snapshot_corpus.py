@@ -21,6 +21,8 @@ import random
 import re
 from typing import Any, Iterator, List, Optional, Tuple
 
+import pytest
+
 from repro.experiments.cli import main
 from repro.stream import StreamSpec, StreamingSimulation, restore_state
 
@@ -136,4 +138,27 @@ def test_cli_names_a_bad_task_id(tmp_path, capsys):
                  "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "snapshot tasks[2].id must be an integer, got [1, 'a']" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, message", [
+    (("traffic_consumed",),
+     "snapshot traffic_consumed is invalid: 1180591620717411303424 "
+     "exceeds next_task_id"),
+    (("faults", "consumed"),
+     "snapshot faults.consumed is invalid: 1180591620717411303424 "
+     "exceeds dispatched plus pending engine events"),
+])
+def test_cli_rejects_a_stream_position_past_its_count(path, message,
+                                                      tmp_path, capsys):
+    # Restore replays a stream position one event at a time, so an
+    # unbounded one would never return.
+    payload = json.loads(_snapshot_json())
+    _set(payload, path, 2 ** 70)
+    snap = tmp_path / "far.json"
+    snap.write_text(json.dumps(payload))
+    assert main(["serve", "--restore", str(snap), "--horizon", "4000",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
