@@ -317,9 +317,10 @@ class Simulation:
         so this is exactly equivalent to compiling the sweep to a plan file
         and running it.  With ``n_jobs > 1`` the whole grid runs on one
         persistent :class:`~repro.experiments.runner.TrialPool`: workers
-        stay warm across cells, scenarios (shared between cells by the
-        common seeds) are built once and shipped to each worker once, and
-        every cell's trials are in flight together.  ``on_result`` -- when
+        stay warm across cells, every cell's trials wait on one shared
+        queue that whichever worker is free drains, and each worker builds
+        a scenario (shared between cells by the common seeds) when it first
+        needs it and reuses it from a small cache.  ``on_result`` -- when
         given -- is invoked with each cell's :class:`RunResult` as soon as
         that cell completes (possibly out of grid order), so long sweeps can
         stream progress; the returned :class:`SweepResult` is always in

@@ -801,8 +801,7 @@ class ExperimentPlan:
         if jobs > 1 and total_trials > 1:
             from ..experiments.runner import TrialPool
 
-            all_specs = [spec for cell in pending for spec in cell.specs]
-            with TrialPool(jobs, all_specs) as pool:
+            with TrialPool(jobs) as pool:
                 pool.run_cells(
                     [list(cell.specs) for cell in pending],
                     on_cell=lambda ci, trials: finish(pending[ci], trials))

@@ -223,10 +223,6 @@ def read_spool(path: str) -> Tuple[Dict[str, Any],
                             f"objects, one is {type(trial).__name__}")
                     try:
                         TrialMetrics.from_dict(trial, f"trials[{i}]")
-                    except KeyError as exc:
-                        raise SpoolError(
-                            f"spool {path!r} cell {index}: a trial payload "
-                            f"has no key {exc} (line {lineno})") from None
                     except ValueError as exc:
                         raise SpoolError(f"{where}: {exc}") from None
                 cells[index] = trials

@@ -506,9 +506,9 @@ class PMF:
     def __reduce__(self):
         """Pickle as ``(origin, raw bytes)``; unpickling rebuilds the value.
 
-        Pickle's own memo keeps shared references shared, so a scenario
-        shipped to a worker process still holds one object per PET entry
-        and identity-keyed caches (the folder memos) hit there too.
+        Pickle's own memo keeps shared references shared, so an unpickled
+        scenario still holds one object per PET entry and identity-keyed
+        caches (the folder memos) hit on it too.
         """
         return (_restore_pmf, (self._origin, self._probs.tobytes()))
 

@@ -9,21 +9,20 @@ scenario, builds the system, runs it and returns the collected metrics.
 :class:`TrialPool` is the only parallel trial executor: every
 :meth:`~repro.api.plan.ExperimentPlan.execute` with ``n_jobs > 1`` (and so
 ``Simulation.run``, ``Simulation.sweep``, the figures and the CLI) runs on
-one.  It keeps worker processes warm across the grid cells, shards
-the (deduplicated) scenarios -- platform, PET tables, task streams --
-across its workers so each shard's initializer ships only the scenarios
-its assigned trials need (instead of the whole table to every worker),
-and streams per-cell results back as they complete.  Pickling keeps shared
-PMF references shared (``PMF.__reduce__`` rebuilds values; pickle's memo
-preserves sharing), so the identity keys of the simulator's caches work
-the same on the far side of the process boundary.
+one.  It keeps worker processes warm across the grid cells, feeds every
+trial through one shared work queue (whichever worker is free takes the
+next trial) and streams per-cell results back as they complete.  Workers
+build the scenarios -- platform, PET tables, task streams -- themselves
+and keep the few most recent; only specs and metrics cross the process
+boundary.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +150,7 @@ def scenario_key(spec: TrialSpec) -> Tuple:
 
     Grid cells of a sweep share seeds by design, so cells that differ only
     in mapper or dropper resolve to the *same* key -- the scenario (and its
-    PET tables) is built and shipped once and reused across all of them.
+    PET tables) is built once per process and reused across all of them.
     """
     return (spec.scenario_name, spec.level, spec.scale, spec.gamma,
             spec.queue_capacity, spec.seed, spec.scenario_params)
@@ -165,26 +164,25 @@ def build_scenario_for_spec(spec: TrialSpec) -> Scenario:
                           **spec.scenario_kwargs)
 
 
-#: Scenarios pre-shipped to this worker process by :class:`TrialPool`'s
-#: initializer, keyed by :func:`scenario_key`.
-_WORKER_SCENARIOS: Dict[Tuple, Scenario] = {}
-
-#: True in processes initialised as pool workers; gates the lazy caching of
-#: fallback-built scenarios (the parent process must not accumulate them --
-#: its sweep paths manage scenario lifetime explicitly).
-_IN_POOL_WORKER = False
+#: Scenarios :func:`run_trial` built in this process, keyed by
+#: :func:`scenario_key`, least recently used first.  At most
+#: :data:`_SCENARIO_CACHE_SIZE` entries, so a grid with many seeds holds a
+#: few scenarios per worker, not the whole sweep's.
+_SCENARIO_CACHE: "OrderedDict[Tuple, Scenario]" = OrderedDict()
+_SCENARIO_CACHE_SIZE = 4
 
 
-def _pool_initializer(scenarios: Dict[Tuple, Scenario]) -> None:
-    """Install the pre-built scenario table in a worker process.
-
-    Runs once per worker; the scenarios (with their PET matrices) cross the
-    process boundary exactly once here instead of once per trial.
-    """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
-    _WORKER_SCENARIOS.clear()
-    _WORKER_SCENARIOS.update(scenarios)
+def _cached_scenario(spec: TrialSpec) -> Scenario:
+    """The spec's scenario from this process's LRU cache, built on a miss."""
+    key = scenario_key(spec)
+    scenario = _SCENARIO_CACHE.get(key)
+    if scenario is None:
+        scenario = _SCENARIO_CACHE[key] = build_scenario_for_spec(spec)
+        if len(_SCENARIO_CACHE) > _SCENARIO_CACHE_SIZE:
+            _SCENARIO_CACHE.popitem(last=False)
+    else:
+        _SCENARIO_CACHE.move_to_end(key)
+    return scenario
 
 
 def run_trial(spec: TrialSpec,
@@ -193,21 +191,14 @@ def run_trial(spec: TrialSpec,
 
     ``scenario`` may be supplied by a caller that already holds the
     materialised scenario (sweep executors de-duplicate construction across
-    grid cells); otherwise the worker-local table shipped by
-    :class:`TrialPool` is consulted before falling back to building it from
-    the spec.  Scenarios are read-only templates (:meth:`Scenario.fresh_tasks`
-    / :meth:`Scenario.build_machines` hand out per-run copies), so sharing
-    one across trials cannot leak state between them.
+    grid cells); otherwise it comes from this process's small LRU cache,
+    built from the spec on a miss.  Scenarios are read-only templates
+    (:meth:`Scenario.fresh_tasks` / :meth:`Scenario.build_machines` hand
+    out per-run copies), so sharing one across trials cannot leak state
+    between them.
     """
     if scenario is None:
-        key = scenario_key(spec)
-        scenario = _WORKER_SCENARIOS.get(key)
-        if scenario is None:
-            scenario = build_scenario_for_spec(spec)
-            if _IN_POOL_WORKER:
-                # Spill-path trials (scenario unknown to the pool's shard
-                # tables) build lazily on first use, once per worker.
-                _WORKER_SCENARIOS[key] = scenario
+        scenario = _cached_scenario(spec)
     # The execution-time sampling stream is decoupled from the workload
     # generation stream so that two configurations sharing a seed see the
     # same arrivals and deadlines.  The fault stream is decoupled from
@@ -223,83 +214,28 @@ def run_trial(spec: TrialSpec,
 
 
 class TrialPool:
-    """Persistent, scenario-sharded worker pool reused across sweep cells.
+    """Persistent worker pool with one shared work queue, reused across
+    sweep cells.
 
     The workers stay warm for the pool's whole lifetime, so a grid sweep
-    pays process start-up once, not once per cell.  The constructor
-    de-duplicates the scenarios behind ``specs`` (cells sharing seeds share
-    scenarios) and builds each distinct one once in the parent.
-
-    Scenario shipping is *sharded*: instead of sending the whole table to
-    every worker, the scenario groups (and the trials keyed to them) are
-    partitioned across worker shards balanced by trial count, and each
-    shard's initializer ships only the scenarios its workers will actually
-    run.  A paper-scale grid with many distinct ``(level, seed)`` cells
-    therefore ships each scenario to one shard instead of ``n_jobs``
-    times.  Trials of one scenario group always run on their group's
-    shard; trials whose scenario is unknown (not in ``specs``) are
-    spread round-robin and their workers rebuild the scenario from the
-    spec on first use.
+    pays process start-up once, not once per cell.  Every trial is one
+    ``run_trial(spec)`` task on the shared queue, so whichever worker is
+    free takes the next trial and no core idles while trials remain.  The
+    parent builds and ships no scenario: a worker builds one the first time
+    a trial needs it and keeps the most recent few (see
+    :func:`run_trial`).
 
     Use as a context manager::
 
-        with TrialPool(n_jobs=4, specs=all_specs) as pool:
+        with TrialPool(n_jobs=4) as pool:
             per_cell = pool.run_cells(cells, on_cell=print)
     """
 
-    def __init__(self, n_jobs: int, specs: Sequence[TrialSpec] = ()):
+    def __init__(self, n_jobs: int):
         if n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
         self.n_jobs = int(n_jobs)
-        self.scenarios: Dict[Tuple, Scenario] = {}
-        trials_per_key: Dict[Tuple, int] = {}
-        for spec in specs:
-            key = scenario_key(spec)
-            if key not in self.scenarios:
-                self.scenarios[key] = build_scenario_for_spec(spec)
-            trials_per_key[key] = trials_per_key.get(key, 0) + 1
-
-        # Partition the scenario groups across shards, heaviest group
-        # first onto the least-loaded shard (longest-processing-time).
-        n_shards = max(1, min(self.n_jobs, len(trials_per_key)))
-        shard_keys: List[List[Tuple]] = [[] for _ in range(n_shards)]
-        shard_load = [0] * n_shards
-        for key in sorted(trials_per_key,
-                          key=lambda k: trials_per_key[k], reverse=True):
-            idx = min(range(n_shards), key=shard_load.__getitem__)
-            shard_keys[idx].append(key)
-            shard_load[idx] += trials_per_key[key]
-        # Distribute the workers proportionally to shard load (>= 1 each),
-        # so few-scenario/many-trial grids keep their intra-cell
-        # parallelism.
-        workers = [1] * n_shards
-        for _ in range(self.n_jobs - n_shards):
-            idx = max(range(n_shards),
-                      key=lambda s: shard_load[s] / workers[s])
-            workers[idx] += 1
-
-        #: Per-shard scenario sub-tables actually shipped (tests assert the
-        #: shipping stays bounded); their union is :attr:`scenarios`.
-        self.shard_tables: Tuple[Dict[Tuple, Scenario], ...] = tuple(
-            {key: self.scenarios[key] for key in keys} for keys in shard_keys)
-        #: Worker processes per shard (sums to ``n_jobs``).
-        self.shard_workers: Tuple[int, ...] = tuple(workers)
-        self._shard_of = {key: idx for idx, keys in enumerate(shard_keys)
-                          for key in keys}
-        self._pools = [
-            ProcessPoolExecutor(max_workers=count,
-                                initializer=_pool_initializer,
-                                initargs=(table,))
-            for count, table in zip(self.shard_workers, self.shard_tables)]
-        self._spill = 0
-
-    def _pool_for(self, spec: TrialSpec) -> ProcessPoolExecutor:
-        """Executor of the shard owning the spec's scenario group."""
-        idx = self._shard_of.get(scenario_key(spec))
-        if idx is None:
-            idx = self._spill % len(self._pools)
-            self._spill += 1
-        return self._pools[idx]
+        self._pool = ProcessPoolExecutor(max_workers=self.n_jobs)
 
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Sequence[TrialSpec]],
@@ -315,7 +251,7 @@ class TrialPool:
         futures = {}
         for ci, cell in enumerate(cells):
             for ti, spec in enumerate(cell):
-                futures[self._pool_for(spec).submit(run_trial, spec)] = (ci, ti)
+                futures[self._pool.submit(run_trial, spec)] = (ci, ti)
         results: List[List[Optional[TrialMetrics]]] = [
             [None] * len(cell) for cell in cells]
         remaining = [len(cell) for cell in cells]
@@ -338,11 +274,10 @@ class TrialPool:
 
     # ------------------------------------------------------------------
     def _shutdown(self, wait: bool, cancel_futures: bool = False) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def close(self) -> None:
-        """Shut the worker pools down (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         self._shutdown(wait=True)
 
     def __enter__(self) -> "TrialPool":

@@ -8,7 +8,8 @@ and read by ``from_dict``, both derived from its annotations: ``int``/
 :data:`Params` (an object) and ``Annotated[Base, {kind: class}]`` (tagged
 by a ``"kind"`` key).  Reading rejects unknown keys with a did-you-mean
 hint, ill-typed values with their path (``snapshot tasks[2].id must be an
-integer, got [1, 'a']``) and a missing field as ``KeyError(name)``.  Records
+integer, got [1, 'a']``) and a missing field by its record's path
+(``snapshot tasks[2] is missing key 'id'``), all as ``ValueError``.  Records
 declare ``DROPPED_KEYS`` (read and discarded) and ``CONDITIONAL`` (fields
 omitted while ``None``).
 """
@@ -281,7 +282,7 @@ class _Codec:
                     exc.steps.append(name)
                     raise
             elif required:
-                raise KeyError(name)
+                raise _Invalid(f"is missing key {name!r}")
         try:
             return self.cls(**kwargs)
         except ValueError as exc:

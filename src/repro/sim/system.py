@@ -19,6 +19,7 @@ uses, matching the paper's simulation methodology.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -317,10 +318,12 @@ class HCSystem:
         # Incremental completion-PMF caches, all keyed by machine id and all
         # gated on *bitwise-identical* inputs so reuse can never change a
         # result (see _tail_pmf / _machine_base_pmf / _proactive_drop).
-        #: running task id -> its execution PMF shifted to its start time.
-        self._shifted_exec_cache: Dict[int, Tuple[int, PMF]] = {}
-        #: (running task id, now) -> conditioned base PMF of the queue.
-        self._base_cache: Dict[int, Tuple[Optional[int], int, PMF]] = {}
+        #: running task id -> its execution PMF shifted to its start time,
+        #: with that PMF's impulse times.
+        self._shifted_exec_cache: Dict[int, Tuple[int, PMF, List[int]]] = {}
+        #: (running task id, impulses before now) -> conditioned base PMF.
+        self._base_cache: Dict[int, Tuple[int, Tuple[int, Optional[int]],
+                                          PMF]] = {}
         #: (base PMF, pending ids) -> chain of fold results along the queue.
         self._tail_cache: Dict[int, Tuple[PMF, Tuple[int, ...], List[PMF]]] = {}
         #: (base PMF, pending ids, pressure) -> memoised drop decision.
@@ -333,6 +336,8 @@ class HCSystem:
         self._folder: Optional[ChainFolder] = (
             ChainFolder(numerics=self.config.numerics)
             if self.config.incremental else None)
+        #: The folder's ``memo_hits`` already added to ``perf``.
+        self._memo_hits_seen = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -722,29 +727,37 @@ class HCSystem:
             exec_pmf = self._exec_pmf(task.type_id, machine)
             started = task.start_time if task.start_time is not None else now
             return exec_pmf.shift(started).conditional_at_least(now)
+        shifted, times = self._shifted_exec_pmf(machine, running, now)
+        # Conditioning on ``X >= now`` gives bitwise the same PMF for every
+        # ``now`` that leaves the same impulses before it, so the base is
+        # keyed on that count; past the last impulse it is a delta at now.
+        before = bisect_left(times, now)
+        stamp = (before, now if before == len(times) else None)
         cached = self._base_cache.get(machine.id)
-        if cached is not None and cached[0] == running and cached[1] == now:
+        if cached is not None and cached[0] == running and cached[1] == stamp:
             return cached[2]
-        base = self._shifted_exec_pmf(machine, running, now).conditional_at_least(now)
-        self._base_cache[machine.id] = (running, now, base)
+        base = shifted.conditional_at_least(now)
+        self._base_cache[machine.id] = (running, stamp, base)
         return base
 
-    def _shifted_exec_pmf(self, machine: Machine, task_id: int, now: int) -> PMF:
-        """Execution PMF of the running task, shifted to its start time.
+    def _shifted_exec_pmf(self, machine: Machine, task_id: int,
+                          now: int) -> Tuple[PMF, List[int]]:
+        """Execution PMF of the running task, shifted to its start time, and
+        the times of its impulses.
 
-        Cached per machine for the lifetime of the running task: while the
-        current time has not yet entered the PMF's support, conditioning the
-        cached instance returns the *same* object, which lets the tail cache
-        detect an unchanged base in O(1).
+        Cached per machine for the lifetime of the running task, so the
+        conditioned base built from it is the *same* object while no impulse
+        passes, which lets the tail cache detect an unchanged base in O(1).
         """
         cached = self._shifted_exec_cache.get(machine.id)
         if cached is not None and cached[0] == task_id:
-            return cached[1]
+            return cached[1], cached[2]
         task = self.tasks[task_id]
         started = task.start_time if task.start_time is not None else now
         shifted = self._exec_pmf(task.type_id, machine).shift(started)
-        self._shifted_exec_cache[machine.id] = (task_id, shifted)
-        return shifted
+        times = (np.flatnonzero(shifted.probs) + shifted.min_time).tolist()
+        self._shifted_exec_cache[machine.id] = (task_id, shifted, times)
+        return shifted, times
 
     def _queue_entry(self, task_id: int, machine: Machine) -> QueueEntry:
         task = self.tasks[task_id]
@@ -903,7 +916,11 @@ class HCSystem:
         self.perf.mapping_events = self.num_mapping_events
         self.perf.events_dispatched = self.engine.dispatched_events
         if self._folder is not None:
-            self.perf.fold_memo_hits = self._folder.memo_hits
+            # Add the hits since the last call, so a count restored from a
+            # snapshot carries forward under the restored run's new folder.
+            self.perf.fold_memo_hits += (self._folder.memo_hits
+                                         - self._memo_hits_seen)
+            self._memo_hits_seen = self._folder.memo_hits
         return SimulationResult(
             tasks=self.tasks,
             machines=self.machines,

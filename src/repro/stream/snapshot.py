@@ -248,13 +248,8 @@ def restore_state(payload: Mapping[str, object],
     if marker != SNAPSHOT_FORMAT:
         raise ValueError(f"not a stream snapshot: snapshot format must be "
                          f"{SNAPSHOT_FORMAT!r}, got {marker!r}")
-    try:
-        snapshot = _Snapshot.from_dict(payload, "snapshot")
-    except KeyError as exc:
-        if type(exc) is not KeyError:  # registry typos carry their own hint
-            raise
-        raise ValueError(f"snapshot is missing key {exc.args[0]!r}") from None
-    return _restore(snapshot, on_window, chunk_tasks)
+    return _restore(_Snapshot.from_dict(payload, "snapshot"), on_window,
+                    chunk_tasks)
 
 
 def _check_count(where: str, value: int, bound: Optional[int] = None,
@@ -299,9 +294,15 @@ def _restore(snapshot: _Snapshot,
     # Tasks, machines and the batch queue (FIFO order preserved so expiry
     # tie-breaking reproduces exactly).
     system.tasks.clear()
-    for task in snapshot.tasks:
-        system.tasks[task.id] = task
     machines_by_id = {m.id: m for m in system.machines}
+    for i, task in enumerate(snapshot.tasks):
+        with _section(f"tasks[{i}]"):
+            if not 0 <= task.type_id < len(system.task_types):
+                raise ValueError(f"unknown task type {task.type_id}")
+            if (task.machine_id is not None
+                    and task.machine_id not in machines_by_id):
+                raise ValueError(f"unknown machine {task.machine_id}")
+        system.tasks[task.id] = task
     for i, entry in enumerate(snapshot.machines):
         with _section(f"machines[{i}]"):
             if entry.id not in machines_by_id:

@@ -146,7 +146,7 @@ def test_missing_and_malformed_spools_rejected(plan, tmp_path):
         ([header, edited(index="0")],
          "line 2: 'index' must be an integer, got str"),
         ([header, edited(trials=[{}] * len(trials))],
-         "cell 0: a trial payload has no key 'robustness'"),
+         "line 2: trials[0] is missing key 'robustness'"),
         # Trial values are checked against their fields before any cell
         # runs, naming the line and the path.
         ([header, first_trial("perf", "pmf_folds", "x")],

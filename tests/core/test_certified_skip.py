@@ -54,7 +54,7 @@ def sub_pmfs(draw, max_origin=40, masses=(0.0, 0.3, 0.9, 1.0)):
     total = sum(weights)
     if total == 0.0:
         return PMF.delta(origin)
-    return PMF(origin, [mass * w / total for w in weights])
+    return PMF(origin, [mass * (w / total) for w in weights])
 
 
 @st.composite

@@ -1,18 +1,20 @@
 """Persistent-pool sweep execution and cross-process PMF values.
 
 The ``TrialPool`` executor must produce metrics identical to the sequential
-path (trials cross a process boundary, so this exercises scenario shipping
-through the pool initializer and PMF pickling), stream per-cell results as
-they complete, and keep grid order in the returned structures.
+path on any worker count (trials cross a process boundary; workers build
+their scenarios from the specs into a bounded cache), stream per-cell
+results as they complete, and keep grid order in the returned structures.
 """
 
 import functools
 import pickle
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.api import Simulation
+from repro.experiments import runner
 from repro.experiments.runner import (TrialPool, TrialSpec,
                                       build_scenario_for_spec, run_trial,
                                       scenario_key)
@@ -44,67 +46,94 @@ class TestScenarioSharing:
         second = run_trial(spec, scenario=scenario)
         assert first == second
 
-    def test_pool_deduplicates_scenarios(self):
-        specs = [_spec("PAM", "react"), _spec("MM", "react"),
-                 _spec("PAM", "heuristic"), _spec("PAM", "react", seed=43)]
-        with TrialPool(2, specs) as pool:
-            assert len(pool.scenarios) == 2  # seeds 42 and 43
+    def test_pool_deduplicates_scenarios(self, monkeypatch):
+        """A process builds each scenario group once, whatever the cell."""
+        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
+        first = runner._cached_scenario(_spec("PAM", "react"))
+        assert runner._cached_scenario(_spec("MM", "heuristic")) is first
+        assert runner._cached_scenario(_spec(seed=43)) is not first
 
 
-class TestScenarioSharding:
-    def test_shards_partition_the_table(self):
-        """Each scenario ships to exactly one shard, not to every worker."""
-        specs = [_spec(seed=s) for s in (42, 42, 43, 43, 44, 45)]
-        with TrialPool(2, specs) as pool:
-            assert len(pool.shard_tables) == 2
-            assert sum(pool.shard_workers) == 2
-            keys = [set(table) for table in pool.shard_tables]
-            assert keys[0].isdisjoint(keys[1])
-            assert keys[0] | keys[1] == set(pool.scenarios)
-            # Bounded shipping: no shard holds the whole table.
-            assert all(len(table) < len(pool.scenarios)
-                       for table in pool.shard_tables)
+def _counting_builds(monkeypatch):
+    """Count this process's ``build_scenario_for_spec`` calls."""
+    calls = []
+    build = runner.build_scenario_for_spec
 
-    def test_workers_follow_trial_load(self):
-        """Few scenario groups with many trials keep multi-worker shards."""
-        specs = [_spec(seed=42) for _ in range(6)] + [_spec(seed=43)]
-        with TrialPool(4, specs) as pool:
-            assert sum(pool.shard_workers) == 4
-            assert len(pool.shard_tables) == 2
-            # The seed-42 group carries 6 of 7 trials; its shard must get
-            # the extra workers.
-            heavy = max(range(2), key=lambda i: pool.shard_workers[i])
-            assert scenario_key(_spec(seed=42)) in pool.shard_tables[heavy]
+    def counted(spec):
+        calls.append(scenario_key(spec))
+        return build(spec)
+
+    monkeypatch.setattr(runner, "build_scenario_for_spec", counted)
+    return calls
+
+
+def _worker_cache_keys():
+    return list(runner._SCENARIO_CACHE)
+
+
+class TestSharedQueue:
+    def test_pool_matches_run_trial_on_every_worker_count(self):
+        """Trials of three scenario groups, in any worker, give run_trial's
+        metrics in grid order."""
+        cells = [[_spec(mapper, seed=seed) for seed in (42, 43, 44)]
+                 for mapper in ("PAM", "MM")]
+        expected = [[run_trial(spec) for spec in cell] for cell in cells]
+        for n_jobs in (1, 2, 3):
+            with TrialPool(n_jobs) as pool:
+                assert pool.run_cells(cells) == expected
 
     def test_unknown_scenarios_still_run(self):
-        """Specs outside the constructor table fall back to worker builds."""
-        known = [_spec(seed=42)]
-        with TrialPool(2, known) as pool:
-            surprise = _spec(seed=99)
-            pooled = pool.run_cells([[known[0], surprise]])[0]
-        assert pooled == [run_trial(known[0]), run_trial(surprise)]
-
-    def test_sharded_pool_matches_sequential_across_shards(self):
-        specs = [_spec(seed=42), _spec(seed=43), _spec("MM", seed=42),
-                 _spec("MM", seed=43)]
-        sequential = [run_trial(s) for s in specs]
-        with TrialPool(2, specs) as pool:
+        """The pool knows no scenario up front; workers build from specs."""
+        specs = [_spec(seed=97), _spec(seed=98), _spec(seed=99)]
+        with TrialPool(2) as pool:
             pooled = pool.run_cells([specs])[0]
-        assert pooled == sequential
+        assert pooled == [run_trial(spec) for spec in specs]
+
+    def test_parent_builds_no_scenario(self, monkeypatch):
+        """A parallel sweep ships specs only; the workers build."""
+        calls = _counting_builds(monkeypatch)
+        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
+        sweep = (Simulation.scenario("spec").scale(SCALE)
+                 .trials(2, base_seed=42).parallel(2)
+                 .sweep(mapper=["PAM", "MM"], dropper=["react"]))
+        assert calls == []
+        assert [len(run.trials) for run in sweep] == [2, 2]
+
+    def test_worker_cache_stays_bounded(self, monkeypatch):
+        calls = _counting_builds(monkeypatch)
+        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
+        size = runner._SCENARIO_CACHE_SIZE
+        specs = [_spec(seed=42 + i) for i in range(size + 2)]
+        for spec in specs:
+            runner._cached_scenario(spec)
+        assert list(runner._SCENARIO_CACHE) == [
+            scenario_key(spec) for spec in specs[-size:]]
+        # The most recent group is a hit; the evicted first one rebuilds.
+        runner._cached_scenario(specs[-1])
+        assert len(calls) == size + 2
+        runner._cached_scenario(specs[0])
+        assert len(calls) == size + 3
+        assert len(runner._SCENARIO_CACHE) == size
+        # A worker process runs trials through the same bounded cache.
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            for spec in specs:
+                pool.submit(run_trial, spec).result()
+            keys = pool.submit(_worker_cache_keys).result()
+        assert keys == [scenario_key(spec) for spec in specs[-size:]]
 
 
 class TestTrialPool:
     def test_pool_matches_sequential(self):
         specs = [_spec(seed=42), _spec(seed=43), _spec("MM", seed=42)]
         sequential = [run_trial(s) for s in specs]
-        with TrialPool(2, specs) as pool:
+        with TrialPool(2) as pool:
             pooled = pool.run_cells([specs])[0]
         assert pooled == sequential
 
     def test_run_cells_streams_and_keeps_grid_order(self):
         cells = [[_spec(seed=42)], [_spec("MM", seed=42), _spec("MM", seed=43)]]
         seen = []
-        with TrialPool(2, [s for cell in cells for s in cell]) as pool:
+        with TrialPool(2) as pool:
             results = pool.run_cells(cells,
                                      on_cell=lambda i, m: seen.append(i))
         assert sorted(seen) == [0, 1]

@@ -18,9 +18,9 @@ from repro.experiments.runner import TrialSpec, run_trial
 #: (pmf_folds, fold_memo_hits, plane_evals, drop_evaluations, real folds)
 #: of each batch configuration on ``spec`` 40k, scale 0.02, seed 1042.
 BUDGETS = {
-    "batch-drop": (5_163, 5_204, 7_195, 4_457, 10_076),
+    "batch-drop": (5_163, 6_511, 7_195, 4_457, 8_769),
     "batch-map": (3_852, 5_314, 63_262, 0, 19_767),
-    "batch-churn": (5_158, 5_458, 7_543, 4_416, 15_614),
+    "batch-churn": (5_158, 6_725, 7_543, 4_416, 14_347),
 }
 
 

@@ -153,7 +153,7 @@ class TestServeErrors:
         bad_machine["machines"][1] = "x"
         bad_rng["rng_state"]["uinteger"] = 2 ** 70
         for broken, message in (
-                (no_task_id, "snapshot is missing key 'id'"),
+                (no_task_id, "snapshot tasks[0] is missing key 'id'"),
                 ({k: v for k, v in payload.items() if k != "counters"},
                  "snapshot is missing key 'counters'"),
                 ({**payload, "spec": [1]},

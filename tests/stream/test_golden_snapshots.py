@@ -96,3 +96,15 @@ def test_golden_bytes(name, tmp_path):
     produced = PRODUCERS[name](str(tmp_path)).encode("utf-8")
     with open(os.path.join(GOLDEN, name), "rb") as handle:
         assert produced == handle.read()
+
+
+@pytest.mark.parametrize("service", sorted(SERVICES))
+def test_restored_windows_count_forward(service):
+    """A restored service's counters carry on from the snapshot's, so no
+    window's counter delta is negative (rates are not counters)."""
+    timeline = json.loads(
+        _service_files(service)[f"{service}_restored_timeline.json"])
+    for window in timeline["windows"]:
+        for key, delta in (window["perf"] or {}).items():
+            if not key.endswith("_rate"):
+                assert delta >= 0, (window["index"], key, delta)

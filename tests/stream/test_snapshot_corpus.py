@@ -162,3 +162,24 @@ def test_cli_rejects_a_stream_position_past_its_count(path, message,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("type_id", "is invalid: unknown task type 999"),
+    ("machine_id", "is invalid: unknown machine 999"),
+])
+def test_cli_rejects_a_task_outside_the_platform(field, message, tmp_path,
+                                                 capsys):
+    # A queued task of an unknown type used to restore and crash the next
+    # run_for with a KeyError; both references are checked at restore.
+    payload = json.loads(_snapshot_json())
+    index = next(i for i, task in enumerate(payload["tasks"])
+                 if task["status"] == "queued")
+    payload["tasks"][index][field] = 999
+    snap = tmp_path / "foreign.json"
+    snap.write_text(json.dumps(payload))
+    assert main(["serve", "--restore", str(snap), "--horizon", "4000",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot tasks[{index}] {message}" in err
+    assert "Traceback" not in err
