@@ -317,15 +317,16 @@ class Simulation:
         so this is exactly equivalent to compiling the sweep to a plan file
         and running it.  With ``n_jobs > 1`` the whole grid runs on one
         persistent :class:`~repro.experiments.runner.TrialPool`: workers
-        stay warm across cells, every cell's trials wait on one shared
-        queue that whichever worker is free drains, and each worker builds
-        a scenario (shared between cells by the common seeds) when it first
-        needs it and reuses it from a small cache.  ``on_result`` -- when
-        given -- is invoked with each cell's :class:`RunResult` as soon as
-        that cell completes (possibly out of grid order), so long sweeps can
-        stream progress; the returned :class:`SweepResult` is always in
-        grid order.  Sequential sweeps reuse each distinct scenario across
-        cells as well.
+        stay warm across cells and every cell's trials wait on one shared
+        queue that whichever worker is free drains.  Trials are queued
+        scenario by scenario (cells share scenarios through the common
+        seeds: all cells' trial ``k``, then trial ``k+1``), so a worker --
+        or the one process of a sequential sweep -- builds each scenario it
+        meets once and holds one at a time.  ``on_result`` -- when given --
+        is invoked with each cell's :class:`RunResult` as soon as that cell
+        completes; cells that share a scenario complete together, possibly
+        out of grid order.  The returned :class:`SweepResult` is always in
+        grid order.
         """
         return self.build_plan(**axes).execute(sink=on_result)
 

@@ -25,8 +25,8 @@ round-trips losslessly through JSON and TOML::
 
 Execution happens through one funnel: :meth:`ExperimentPlan.execute` compiles
 the grid to :class:`~repro.experiments.runner.TrialSpec` cells, drives them
-through the persistent :class:`~repro.experiments.runner.TrialPool` (or the
-scenario-reusing sequential path) and returns a
+through a :class:`~repro.experiments.runner.TrialPool` (in this process when
+``n_jobs == 1``) and returns a
 :class:`~repro.api.results.SweepResult`.  Results stream through pluggable
 sinks (:mod:`repro.api.sinks`); the JSONL spool sink makes long sweeps
 *resumable*::
@@ -797,40 +797,13 @@ class ExperimentPlan:
                 raise PlanError("max_cells cannot be negative")
             pending = pending[:max_cells]
 
+        from ..experiments.runner import TrialPool
+
         total_trials = sum(len(cell.specs) for cell in pending)
-        if jobs > 1 and total_trials > 1:
-            from ..experiments.runner import TrialPool
-
-            with TrialPool(jobs) as pool:
-                pool.run_cells(
-                    [list(cell.specs) for cell in pending],
-                    on_cell=lambda ci, trials: finish(pending[ci], trials))
-        else:
-            from ..experiments.runner import (build_scenario_for_spec,
-                                              run_trial, scenario_key)
-
-            # Scenarios are shared across cells (common seeds) but evicted
-            # as soon as their last trial ran, so a large grid holds at most
-            # the scenarios still ahead of it -- not the whole sweep's.
-            uses: Dict[Any, int] = {}
-            for cell in pending:
-                for spec in cell.specs:
-                    key = scenario_key(spec)
-                    uses[key] = uses.get(key, 0) + 1
-            scenarios: Dict[Any, Any] = {}
-            for cell in pending:
-                trials = []
-                for spec in cell.specs:
-                    key = scenario_key(spec)
-                    scenario = scenarios.get(key)
-                    if scenario is None:
-                        scenario = scenarios[key] = \
-                            build_scenario_for_spec(spec)
-                    trials.append(run_trial(spec, scenario=scenario))
-                    uses[key] -= 1
-                    if uses[key] == 0:
-                        del scenarios[key]
-                finish(cell, trials)
+        with TrialPool(jobs if total_trials > 1 else 1) as pool:
+            pool.run_cells(
+                [list(cell.specs) for cell in pending],
+                on_cell=lambda ci, trials: finish(pending[ci], trials))
 
         result = SweepResult(
             runs=tuple(run for run in runs if run is not None),

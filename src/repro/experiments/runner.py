@@ -6,20 +6,19 @@ trials can optionally be fanned out across worker processes
 (``ExperimentConfig.n_jobs > 1``); :func:`run_trial` materialises the
 scenario, builds the system, runs it and returns the collected metrics.
 
-:class:`TrialPool` is the only parallel trial executor: every
-:meth:`~repro.api.plan.ExperimentPlan.execute` with ``n_jobs > 1`` (and so
-``Simulation.run``, ``Simulation.sweep``, the figures and the CLI) runs on
-one.  It keeps worker processes warm across the grid cells, feeds every
-trial through one shared work queue (whichever worker is free takes the
-next trial) and streams per-cell results back as they complete.  Workers
-build the scenarios -- platform, PET tables, task streams -- themselves
-and keep the few most recent; only specs and metrics cross the process
-boundary.
+:class:`TrialPool` is the only sweep executor: every
+:meth:`~repro.api.plan.ExperimentPlan.execute` (and so ``Simulation.run``,
+``Simulation.sweep``, the figures and the CLI) runs on one, in this
+process when ``n_jobs == 1``.  It keeps worker processes warm across the
+grid cells, feeds every trial through one shared work queue (whichever
+worker is free takes the next trial) and streams per-cell results back as
+they complete.  Trials are queued scenario by scenario, so each worker
+builds the scenarios -- platform, PET tables, task streams -- itself and
+holds one at a time; only specs and metrics cross the process boundary.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -164,25 +163,50 @@ def build_scenario_for_spec(spec: TrialSpec) -> Scenario:
                           **spec.scenario_kwargs)
 
 
-#: Scenarios :func:`run_trial` built in this process, keyed by
-#: :func:`scenario_key`, least recently used first.  At most
-#: :data:`_SCENARIO_CACHE_SIZE` entries, so a grid with many seeds holds a
-#: few scenarios per worker, not the whole sweep's.
-_SCENARIO_CACHE: "OrderedDict[Tuple, Scenario]" = OrderedDict()
-_SCENARIO_CACHE_SIZE = 4
+def trial_order(cells: Sequence[Sequence[TrialSpec]]
+                ) -> List[Tuple[int, int]]:
+    """Every ``(cell, trial)`` index pair, each scenario's trials adjacent.
+
+    Scenarios come in the order their first trial appears in the grid,
+    and within one scenario trials keep grid order.  Cells that share a
+    scenario (a grid's mapper x dropper cells share every seed) therefore
+    interleave trial by trial: all cells' trial ``k``, then trial ``k+1``.
+    """
+    groups: Dict[Tuple, List[Tuple[int, int]]] = {}
+    for ci, cell in enumerate(cells):
+        for ti, spec in enumerate(cell):
+            groups.setdefault(scenario_key(spec), []).append((ci, ti))
+    return [pair for group in groups.values() for pair in group]
 
 
-def _cached_scenario(spec: TrialSpec) -> Scenario:
-    """The spec's scenario from this process's LRU cache, built on a miss."""
-    key = scenario_key(spec)
-    scenario = _SCENARIO_CACHE.get(key)
-    if scenario is None:
-        scenario = _SCENARIO_CACHE[key] = build_scenario_for_spec(spec)
-        if len(_SCENARIO_CACHE) > _SCENARIO_CACHE_SIZE:
-            _SCENARIO_CACHE.popitem(last=False)
-    else:
-        _SCENARIO_CACHE.move_to_end(key)
-    return scenario
+class _ScenarioSlot:
+    """The scenario of the trials at hand, for a taker of :func:`trial_order`.
+
+    A taker that runs trials in that order (the inline loop, or one pool
+    worker taking the shared queue's items in submission order) never
+    returns to a scenario it has left, so holding one scenario builds each
+    of them at most once per taker.
+    """
+
+    def __init__(self) -> None:
+        self.key: Optional[Tuple] = None
+        self.scenario: Optional[Scenario] = None
+
+    def run(self, spec: TrialSpec) -> TrialMetrics:
+        key = scenario_key(spec)
+        if key != self.key:
+            self.key = self.scenario = None  # free the old one first
+            self.scenario = build_scenario_for_spec(spec)
+            self.key = key
+        return run_trial(spec, scenario=self.scenario)
+
+
+#: The slot of a pool worker; the parent process never fills it.
+_WORKER_SLOT = _ScenarioSlot()
+
+
+def _run_in_worker(spec: TrialSpec) -> TrialMetrics:
+    return _WORKER_SLOT.run(spec)
 
 
 def run_trial(spec: TrialSpec,
@@ -190,15 +214,15 @@ def run_trial(spec: TrialSpec,
     """Run one simulation trial end-to-end and collect its metrics.
 
     ``scenario`` may be supplied by a caller that already holds the
-    materialised scenario (sweep executors de-duplicate construction across
-    grid cells); otherwise it comes from this process's small LRU cache,
-    built from the spec on a miss.  Scenarios are read-only templates
+    materialised scenario (:class:`TrialPool` shares one across the grid
+    cells that use it); otherwise it is built from the spec and dropped
+    with the trial.  Scenarios are read-only templates
     (:meth:`Scenario.fresh_tasks` / :meth:`Scenario.build_machines` hand
     out per-run copies), so sharing one across trials cannot leak state
     between them.
     """
     if scenario is None:
-        scenario = _cached_scenario(spec)
+        scenario = build_scenario_for_spec(spec)
     # The execution-time sampling stream is decoupled from the workload
     # generation stream so that two configurations sharing a seed see the
     # same arrivals and deadlines.  The fault stream is decoupled from
@@ -219,11 +243,12 @@ class TrialPool:
 
     The workers stay warm for the pool's whole lifetime, so a grid sweep
     pays process start-up once, not once per cell.  Every trial is one
-    ``run_trial(spec)`` task on the shared queue, so whichever worker is
-    free takes the next trial and no core idles while trials remain.  The
-    parent builds and ships no scenario: a worker builds one the first time
-    a trial needs it and keeps the most recent few (see
-    :func:`run_trial`).
+    task on the shared queue, so whichever worker is free takes the next
+    trial and no core idles while trials remain.  The parent builds and
+    ships no scenario: trials are queued in :func:`trial_order`, and each
+    worker builds a scenario when it first takes one of its trials and
+    holds only that one.  With ``n_jobs=1`` no process starts: the trials
+    run in this process, in the same order, holding one scenario.
 
     Use as a context manager::
 
@@ -235,7 +260,8 @@ class TrialPool:
         if n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
         self.n_jobs = int(n_jobs)
-        self._pool = ProcessPoolExecutor(max_workers=self.n_jobs)
+        self._pool = (ProcessPoolExecutor(max_workers=self.n_jobs)
+                      if self.n_jobs > 1 else None)
 
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Sequence[TrialSpec]],
@@ -243,28 +269,37 @@ class TrialPool:
                   = None) -> List[List[TrialMetrics]]:
         """Run every cell's trials and return per-cell metrics in cell order.
 
-        All trials of all cells are submitted up front, so workers never
-        idle at cell boundaries.  As soon as the last trial of a cell
-        completes, ``on_cell(cell_index, metrics)`` is invoked (cells may
-        finish out of grid order); the returned list is in grid order.
+        All trials of all cells are queued up front in :func:`trial_order`,
+        so workers never idle at cell boundaries.  As soon as the last
+        trial of a cell completes, ``on_cell(cell_index, metrics)`` is
+        invoked.  Cells that share a scenario therefore finish together,
+        near the end of that scenario's last trials, and possibly out of
+        grid order; the returned list is in grid order.
         """
-        futures = {}
-        for ci, cell in enumerate(cells):
-            for ti, spec in enumerate(cell):
-                futures[self._pool.submit(run_trial, spec)] = (ci, ti)
         results: List[List[Optional[TrialMetrics]]] = [
             [None] * len(cell) for cell in cells]
         remaining = [len(cell) for cell in cells]
+
+        def record(ci: int, ti: int, metrics: TrialMetrics) -> None:
+            results[ci][ti] = metrics
+            remaining[ci] -= 1
+            if remaining[ci] == 0 and on_cell is not None:
+                on_cell(ci, results[ci])
+
+        order = trial_order(cells)
+        if self._pool is None:
+            slot = _ScenarioSlot()
+            for ci, ti in order:
+                record(ci, ti, slot.run(cells[ci][ti]))
+            return results
+        futures = {self._pool.submit(_run_in_worker, cells[ci][ti]): (ci, ti)
+                   for ci, ti in order}
         pending = set(futures)
         try:
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    ci, ti = futures[future]
-                    results[ci][ti] = future.result()
-                    remaining[ci] -= 1
-                    if remaining[ci] == 0 and on_cell is not None:
-                        on_cell(ci, results[ci])
+                    record(*futures[future], future.result())
         except BaseException:
             for future in pending:
                 future.cancel()
@@ -274,7 +309,8 @@ class TrialPool:
 
     # ------------------------------------------------------------------
     def _shutdown(self, wait: bool, cancel_futures: bool = False) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

@@ -1,14 +1,14 @@
 """Persistent-pool sweep execution and cross-process PMF values.
 
-The ``TrialPool`` executor must produce metrics identical to the sequential
-path on any worker count (trials cross a process boundary; workers build
-their scenarios from the specs into a bounded cache), stream per-cell
-results as they complete, and keep grid order in the returned structures.
+The ``TrialPool`` executor must produce metrics identical to ``run_trial``
+on any worker count (trials cross a process boundary; trials are queued
+scenario by scenario and each worker builds the scenarios it meets, holding
+one at a time), stream per-cell results as they complete, and keep grid
+order in the returned structures.
 """
 
 import functools
 import pickle
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -17,7 +17,7 @@ from repro.api import Simulation
 from repro.experiments import runner
 from repro.experiments.runner import (TrialPool, TrialSpec,
                                       build_scenario_for_spec, run_trial,
-                                      scenario_key)
+                                      scenario_key, trial_order)
 
 SCALE = 0.002  # ~40-60 tasks: heavily oversubscribed yet fast
 
@@ -47,11 +47,13 @@ class TestScenarioSharing:
         assert first == second
 
     def test_pool_deduplicates_scenarios(self, monkeypatch):
-        """A process builds each scenario group once, whatever the cell."""
-        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
-        first = runner._cached_scenario(_spec("PAM", "react"))
-        assert runner._cached_scenario(_spec("MM", "heuristic")) is first
-        assert runner._cached_scenario(_spec(seed=43)) is not first
+        """A sequential sweep builds each scenario once, whatever the cell."""
+        calls = _counting_builds(monkeypatch)
+        cells = [[_spec(mapper, seed=seed) for seed in (42, 43, 44)]
+                 for mapper in ("PAM", "MM")]
+        with TrialPool(1) as pool:
+            pool.run_cells(cells)
+        assert calls == [scenario_key(cells[0][k]) for k in range(3)]
 
 
 def _counting_builds(monkeypatch):
@@ -67,8 +69,8 @@ def _counting_builds(monkeypatch):
     return calls
 
 
-def _worker_cache_keys():
-    return list(runner._SCENARIO_CACHE)
+def _worker_slot_key():
+    return runner._WORKER_SLOT.key
 
 
 class TestSharedQueue:
@@ -90,36 +92,57 @@ class TestSharedQueue:
         assert pooled == [run_trial(spec) for spec in specs]
 
     def test_parent_builds_no_scenario(self, monkeypatch):
-        """A parallel sweep ships specs only; the workers build."""
+        """A parallel sweep ships specs only; the workers build and the
+        parent is left holding no scenario."""
         calls = _counting_builds(monkeypatch)
-        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
         sweep = (Simulation.scenario("spec").scale(SCALE)
                  .trials(2, base_seed=42).parallel(2)
                  .sweep(mapper=["PAM", "MM"], dropper=["react"]))
         assert calls == []
         assert [len(run.trials) for run in sweep] == [2, 2]
+        assert runner._WORKER_SLOT.key is None
 
-    def test_worker_cache_stays_bounded(self, monkeypatch):
+    def test_trial_order_keeps_each_scenario_adjacent(self):
+        """Cells sharing seeds interleave trial by trial; a second scenario
+        family (another scale) follows the first, whatever the cell order."""
+        cells = [[_spec(mapper, seed=seed, **extra) for seed in (42, 43)]
+                 for mapper in ("PAM", "MM")
+                 for extra in ({}, {"scenario_params": (("num_machines", 4),)})]
+        order = trial_order(cells)
+        assert order == [(0, 0), (2, 0), (0, 1), (2, 1),
+                         (1, 0), (3, 0), (1, 1), (3, 1)]
+        keys = [scenario_key(cells[ci][ti]) for ci, ti in order]
+        assert len(set(keys)) == 4
+        # Each key forms one run: a taker never returns to a scenario.
+        assert [k for i, k in enumerate(keys)
+                if i == 0 or k != keys[i - 1]] == list(dict.fromkeys(keys))
+
+    def test_worker_holds_one_scenario(self, monkeypatch):
+        """A taker of the trial order builds each scenario once and holds
+        only the current one."""
         calls = _counting_builds(monkeypatch)
-        monkeypatch.setattr(runner, "_SCENARIO_CACHE", OrderedDict())
-        size = runner._SCENARIO_CACHE_SIZE
-        specs = [_spec(seed=42 + i) for i in range(size + 2)]
-        for spec in specs:
-            runner._cached_scenario(spec)
-        assert list(runner._SCENARIO_CACHE) == [
-            scenario_key(spec) for spec in specs[-size:]]
-        # The most recent group is a hit; the evicted first one rebuilds.
-        runner._cached_scenario(specs[-1])
-        assert len(calls) == size + 2
-        runner._cached_scenario(specs[0])
-        assert len(calls) == size + 3
-        assert len(runner._SCENARIO_CACHE) == size
-        # A worker process runs trials through the same bounded cache.
+        cells = [[_spec(mapper, seed=seed) for seed in (42, 43, 44, 45)]
+                 for mapper in ("PAM", "MM", "MSD")]
+        slot = runner._ScenarioSlot()
+        for ci, ti in trial_order(cells):
+            slot.run(cells[ci][ti])
+        assert calls == [scenario_key(spec) for spec in cells[0]]
+        assert slot.key == scenario_key(cells[0][-1])
+        # A pool worker runs its queue items through the same one slot.
         with ProcessPoolExecutor(max_workers=1) as pool:
-            for spec in specs:
-                pool.submit(run_trial, spec).result()
-            keys = pool.submit(_worker_cache_keys).result()
-        assert keys == [scenario_key(spec) for spec in specs[-size:]]
+            for ci, ti in trial_order(cells):
+                pool.submit(runner._run_in_worker, cells[ci][ti]).result()
+            assert pool.submit(_worker_slot_key).result() == slot.key
+
+    def test_single_job_runs_in_process(self):
+        with TrialPool(1) as pool:
+            assert pool._pool is None
+            cells = [[_spec(seed=42), _spec(seed=43)], [_spec("MM", seed=42)]]
+            seen = []
+            results = pool.run_cells(cells, on_cell=lambda i, m: seen.append(i))
+        assert seen == [1, 0]  # cell 1 ends with seed 42, cell 0 with 43
+        assert results == [[run_trial(spec) for spec in cell]
+                           for cell in cells]
 
 
 class TestTrialPool:
