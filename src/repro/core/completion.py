@@ -13,14 +13,15 @@ Batched fold kernel
 -------------------
 :class:`ChainFolder` is the hot-loop variant of :func:`completion_pmf`: it
 serves Eq. 1 folds through an **identity-keyed fold memo**, so a
-``(prev, exec, deadline)`` triple seen before -- the same cached chain tail
-and the same PET entry -- is answered with the previously computed result
-without touching NumPy.  A memo miss performs bit-for-bit the arithmetic of
-:func:`completion_pmf` (same operands, same order), so folded chains are
-exactly reproducible by the naive composed form -- the property pinned by
-the simulator's equivalence tests.  A folder can be installed process-wide
-with :func:`active_folder`; while installed, plain :func:`completion_pmf`
-calls (e.g. from dropping policies) are routed through it.
+``(prev, exec, deadline)`` triple seen before in the same mapping event --
+the same chain tail and the same PET entry -- is answered with the
+previously computed result without touching NumPy.  A memo miss performs
+bit-for-bit the arithmetic of :func:`completion_pmf` (same operands, same
+order), so folded chains are exactly reproducible by the naive composed
+form -- the property pinned by the simulator's equivalence tests.  A
+folder can be installed process-wide with :func:`active_folder`; while
+installed, plain :func:`completion_pmf` calls (e.g. from dropping
+policies) are routed through it.
 
 Every fold -- mapping, tail chains and dropping alike -- prunes impulses
 below one threshold, :data:`repro.core.pmf.DEFAULT_PRUNE_EPS`.
@@ -28,7 +29,6 @@ below one threshold, :data:`repro.core.pmf.DEFAULT_PRUNE_EPS`.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -207,16 +207,24 @@ def _memo_deadline(prev: PMF, deadline: int) -> int:
 
 
 class ChainFolder:
-    """Batched Eq. 1 fold kernel with an identity memo.
+    """Batched Eq. 1 fold kernel with identity memos scoped to one event.
 
     One folder serves one simulation run.  The memo maps ``(id(prev),
     id(exec), deadline)`` to the fold result; entries keep strong
     references to their key PMFs so the ids stay valid, and the ``is``
     re-check on every hit makes a stale-id collision impossible.
-    The simulator's caches hand the same tail PMF objects back and PET
-    entries are shared objects, so repeated folds -- machines of the same
-    type evaluating the same candidate task, an unchanged queue revisited
-    at a later event -- collapse into dictionary hits.
+    Within a mapping event the simulator's caches hand the same tail PMF
+    objects back and PET entries are shared objects, so repeated folds --
+    machines of the same type evaluating the same candidate task, score
+    columns whose deadlines clamp to one key -- collapse into dictionary
+    hits.
+
+    The memos live for one mapping event: :meth:`start_event` empties every
+    table that holds chain PMFs, so no PMF outlives its event through the
+    folder.  Reuse across events is the per-machine tail cache's job (one
+    Eq. 1 chain per machine, shared with the dropping policy).  Only the
+    tables keyed on PET entries (execution CDFs, moments and rFFT images)
+    persist; they are bounded by the PET's size.
 
     ``numerics`` selects the score-plane arithmetic profile.  Under the
     default ``"exact"`` every fold is bit-identical to the naive composed
@@ -230,37 +238,27 @@ class ChainFolder:
     mapping selection use the fast paths.
     """
 
-    __slots__ = ("memo_limit", "memo_hits", "numerics",
+    __slots__ = ("memo_hits", "numerics",
                  "_memo", "_chance_memo", "_mean_memo",
-                 "_memo_active", "_memo_probes",
                  "_cdf", "_rfft", "_append_chance_memo", "_fft_memo",
                  "_moments", "_prev_cums", "_append_mean_memo")
 
-    #: Fold probes before the adaptive memo gate is evaluated.
-    MEMO_WINDOW = 4096
-    #: Minimum fold-memo hit rate below which storing entries stops paying
-    #: (a hit saves roughly a convolution, a store costs an entry and GC
-    #: pressure; break-even sits near one hit per ten misses).
-    MEMO_MIN_HIT_RATE = 0.10
-
-    def __init__(self, *, memo_limit: int = 1 << 13, numerics: str = "exact"):
+    def __init__(self, *, numerics: str = "exact"):
         if numerics not in NUMERICS_PROFILES:
             raise ValueError(f"unknown numerics profile {numerics!r}; "
                              f"expected one of {NUMERICS_PROFILES}")
-        self.memo_limit = int(memo_limit)
         self.numerics = numerics
         self.memo_hits = 0
         self._memo: Dict[Tuple[int, int, int], Tuple[PMF, PMF, PMF]] = {}
         #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); chain PMFs
-        #: come back from the fold memo as the same objects, so a queue
-        #: revisited at a later event asks for the same chances again.
+        #: come back from the fold memo as the same objects, so a chain
+        #: read by several callers within one event asks for the same
+        #: chances again.
         self._chance_memo: Dict[Tuple[int, int], Tuple[PMF, float]] = {}
         #: id(pmf) -> (pmf, mean); the mapping score plane asks for the
         #: expected completion of the same (memoised, identity-stable)
         #: appended PMFs over and over across machines and rounds.
         self._mean_memo: Dict[int, Tuple[PMF, float]] = {}
-        self._memo_active = True
-        self._memo_probes = 0
         #: id(exec_pmf) -> (exec_pmf, prefix-sum CDF); ``cdf[j]`` is the mass
         #: of ``exec_pmf`` strictly below ``origin + j`` (length m+1, with
         #: ``cdf[0] == 0``).  Execution PMFs are shared PET entries, so one
@@ -292,40 +290,33 @@ class ChainFolder:
                                      Tuple[PMF, PMF, float]] = {}
 
     # ------------------------------------------------------------------
-    def fold(self, prev: PMF, exec_pmf: PMF, deadline: int) -> PMF:
-        """Memoised equivalent of :func:`completion_pmf`.
+    def start_event(self) -> None:
+        """Forget every chain PMF: a new mapping event begins.
 
-        The memo is adaptive: workloads whose folds rarely repeat (no
-        proactive dropper revisiting queues) would pay an entry allocation
-        per fold for nothing, so once the hit rate over :data:`MEMO_WINDOW`
-        probes falls below :data:`MEMO_MIN_HIT_RATE` the folder stops
-        storing and folds straight through.
+        Empties the tables that hold chain or appended PMFs (the fold,
+        chance and mean memos, their closed-form and FFT counterparts and
+        the per-tail prefix sums).  The tables keyed on PET entries stay.
+        Results never depend on the memos, only the number of real folds.
         """
+        self._memo.clear()
+        self._chance_memo.clear()
+        self._mean_memo.clear()
+        self._append_chance_memo.clear()
+        self._append_mean_memo.clear()
+        self._prev_cums.clear()
+        self._fft_memo.clear()
+
+    def fold(self, prev: PMF, exec_pmf: PMF, deadline: int) -> PMF:
+        """Memoised equivalent of :func:`completion_pmf`."""
         deadline = int(deadline)
-        if not self._memo_active:
-            return _fold(prev, exec_pmf, deadline)
         key = (id(prev), id(exec_pmf), _memo_deadline(prev, deadline))  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._memo.get(key)
         if hit is not None and hit[0] is prev and hit[1] is exec_pmf:
             self.memo_hits += 1
             return hit[2]
-        self._memo_probes += 1
-        if (self._memo_probes >= self.MEMO_WINDOW
-                and self.memo_hits < self._memo_probes * self.MEMO_MIN_HIT_RATE):
-            self._memo_active = False
-            self._memo.clear()
-            return _fold(prev, exec_pmf, deadline)
         result = _fold(prev, exec_pmf, deadline)
-        if len(self._memo) >= self.memo_limit:
-            self._evict_oldest(self._memo)
         self._memo[key] = (prev, exec_pmf, result)
         return result
-
-    def _evict_oldest(self, memo: Dict) -> None:
-        """Drop the oldest quarter of ``memo`` (dicts keep insertion order)."""
-        for old in list(itertools.islice(iter(memo),
-                                         max(1, self.memo_limit // 4))):
-            del memo[old]
 
     def chance(self, pmf: PMF, deadline: int) -> float:
         """Memoised ``pmf.mass_before(deadline)`` (Eq. 2) for stable PMFs."""
@@ -334,8 +325,6 @@ class ChainFolder:
         if hit is not None and hit[0] is pmf:
             return hit[1]
         value = pmf.mass_before(deadline)
-        if len(self._chance_memo) >= self.memo_limit:
-            self._evict_oldest(self._chance_memo)
         self._chance_memo[key] = (pmf, value)
         return value
 
@@ -346,8 +335,6 @@ class ChainFolder:
         if hit is not None and hit[0] is pmf:
             return hit[1]
         value = pmf.mean()
-        if len(self._mean_memo) >= self.memo_limit:
-            self._evict_oldest(self._mean_memo)
         self._mean_memo[key] = (pmf, value)
         return value
 
@@ -385,8 +372,6 @@ class ChainFolder:
         if hit is not None and hit[0] is prev and hit[1] is exec_pmf:
             return hit[2]
         value = _chance_bound(prev, exec_pmf, deadline, self._exec_cdf)
-        if len(self._append_chance_memo) >= self.memo_limit:
-            self._evict_oldest(self._append_chance_memo)
         self._append_chance_memo[key] = (prev, exec_pmf, value)
         return value
 
@@ -425,8 +410,6 @@ class ChainFolder:
         np.cumsum(times * pp, out=moments[1:])
         masses.setflags(write=False)
         moments.setflags(write=False)
-        if len(self._prev_cums) >= self.memo_limit:
-            self._evict_oldest(self._prev_cums)
         self._prev_cums[key] = (prev, masses, moments)
         return masses, moments
 
@@ -476,8 +459,6 @@ class ChainFolder:
         if total_mass <= 0.0:
             raise ValueError("mean of an empty PMF is undefined")
         value = total_moment / total_mass
-        if len(self._append_mean_memo) >= self.memo_limit:
-            self._evict_oldest(self._append_mean_memo)
         self._append_mean_memo[key] = (prev, exec_pmf, value)
         return value
 
@@ -554,8 +535,6 @@ class ChainFolder:
                     batch.append((i, key, ep_pmf, k, on_time, conv_len))
                     continue
             results[i] = result
-            if len(self._fft_memo) >= self.memo_limit:
-                self._evict_oldest(self._fft_memo)
             self._fft_memo[key] = (prev, ep_pmf, result)
         if batch:
             plan = 1 << (plan_len - 1).bit_length()
@@ -584,8 +563,6 @@ class ChainFolder:
                 conv = time_rows[r, :conv_len].copy()
                 result = _mix(conv, prev, ep_pmf.origin, k)
                 results[i] = result
-                if len(self._fft_memo) >= self.memo_limit:
-                    self._evict_oldest(self._fft_memo)
                 self._fft_memo[key] = (prev, ep_pmf, result)
         return results
 
@@ -756,9 +733,9 @@ def chance_of_success(completion: PMF, deadline: int) -> float:
     """Probability that a task completes strictly before its deadline (Eq. 2).
 
     Served from the installed :class:`ChainFolder`'s memo when one is
-    active: chain PMFs are identity-stable (memoised folds return the same
-    object), so the repeated queries issued for a queue revisited at a
-    later event collapse into dictionary hits.
+    active: chain PMFs are identity-stable (memoised folds and the shared
+    tail chain return the same objects), so the repeated queries issued
+    for one queue within a mapping event collapse into dictionary hits.
     """
     folder = _ACTIVE_FOLDER
     if folder is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..completion import QueueEntry
 from ..pmf import PMF
@@ -39,6 +39,13 @@ class MachineQueueView:
     pressure:
         Optional system-load signal in ``[0, 1]`` (ratio of unmapped work to
         queue capacity); used only by adaptive threshold policies.
+    chain:
+        Optional no-drop Eq. 1 chain of the queue: ``chain[n]`` is the
+        completion PMF of ``entries[n]`` behind ``base_pmf`` and every
+        entry ahead of it.  The simulator passes its per-machine tail
+        chain here, so a policy that reads it folds no chain of its own;
+        ``None`` (tests, ablations, the naive path) means "fold it
+        yourself".  Policies must not mutate it.
     """
 
     machine_id: int
@@ -46,9 +53,14 @@ class MachineQueueView:
     base_pmf: PMF
     entries: Sequence[QueueEntry] = field(default_factory=tuple)
     pressure: float = 0.0
+    chain: Optional[Sequence[PMF]] = field(default=None, compare=False,
+                                           repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.chain is not None and len(self.chain) != len(self.entries):
+            raise ValueError(f"chain has {len(self.chain)} PMFs for "
+                             f"{len(self.entries)} queue entries")
 
     @property
     def queue_length(self) -> int:
@@ -71,11 +83,19 @@ class DropDecision:
     robustness_after:
         Instantaneous robustness of the queue after the selected drops, when
         the policy computed it (``nan`` otherwise).
+    chain:
+        Optional Eq. 1 chain of the surviving tasks: ``chain[k]`` is the
+        completion PMF of the ``k``-th task left after the drops, behind
+        ``base_pmf`` and the survivors ahead of it.  The simulator's tail
+        cache adopts it, so a policy that sets it promises exactly these
+        folds.
     """
 
     drop_indices: Sequence[int] = ()
     robustness_before: float = float("nan")
     robustness_after: float = float("nan")
+    chain: Optional[Sequence[PMF]] = field(default=None, compare=False,
+                                           repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "drop_indices", tuple(sorted(int(i) for i in self.drop_indices)))

@@ -84,6 +84,12 @@ class ProactiveHeuristicDropping(DroppingPolicy):
         is at most ``β`` times the kept score, ``i`` is kept without a
         fold.  Decisions and both robustness values are exactly those of
         re-folding every window (``docs/INVARIANTS.md``).
+
+        The no-drop chain is read from ``view.chain`` when the caller
+        passes one (the simulator's tail cache) and folded here otherwise;
+        the two are the same folds, so the decision is bitwise the same.
+        After drops the decision carries the survivors' chain, which the
+        simulator's tail cache adopts.
         """
         entries = view.entries
         q = len(entries)
@@ -91,13 +97,16 @@ class ProactiveHeuristicDropping(DroppingPolicy):
             return DropDecision(drop_indices=())
 
         # The no-drop chain; its chances sum to the robustness before.
-        chain: List[PMF] = []
-        probs: List[float] = []
-        prev = view.base_pmf
-        for entry in entries:
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
-            chain.append(prev)
-            probs.append(chance_of_success(prev, entry.deadline))
+        if view.chain is not None:
+            chain: List[PMF] = list(view.chain)
+        else:
+            chain = []
+            prev = view.base_pmf
+            for entry in entries:
+                prev = completion_pmf(prev, entry.exec_pmf, entry.deadline)
+                chain.append(prev)
+        probs = [chance_of_success(pmf, entry.deadline)
+                 for pmf, entry in zip(chain, entries)]
         robustness_before = float(sum(probs))
 
         dropped: List[int] = []
@@ -154,6 +163,13 @@ class ProactiveHeuristicDropping(DroppingPolicy):
             else:
                 prefix = chain[i]
 
+        # The last window reaches the queue's end, so every position of
+        # ``chain`` now lies behind the drops.
+        survivors = None
+        if dropped:
+            gone = set(dropped)
+            survivors = [pmf for n, pmf in enumerate(chain) if n not in gone]
         return DropDecision(drop_indices=dropped,
                             robustness_before=robustness_before,
-                            robustness_after=float(sum(probs)))
+                            robustness_after=float(sum(probs)),
+                            chain=survivors)

@@ -205,9 +205,11 @@ class MappingContext:
 
     ``folder`` optionally routes fold arithmetic through the run's
     :class:`~repro.core.completion.ChainFolder`, whose identity-keyed memos
-    answer repeated folds, chances and means -- across machines of the
-    same type and across mapping events -- without NumPy.  Results are
-    bit-identical either way -- unless the folder runs the
+    answer repeated folds, chances and means within the mapping event --
+    across machines of the same type, and for the tail extension that
+    follows a commit -- without NumPy.  The memos are emptied when the
+    next event starts.  Results are bit-identical either way -- unless
+    the folder runs the
     ``numerics="fast"`` profile, in which case *scores* (and only scores)
     come from its closed-form chance and mean within the documented
     tolerance, while committed completion PMFs stay exact.

@@ -43,7 +43,10 @@ class PerfStats(Record):
         Tasks discarded through the deadline-indexed batch-queue expiry.
     fold_memo_hits:
         Eq. 1 folds answered by the :class:`~repro.core.completion.ChainFolder`
-        identity memo without touching NumPy.
+        identity memo without touching NumPy.  The memo lives for one
+        mapping event, so these are repeats within an event (same-type
+        score columns, tail extensions over the mapper's appended folds),
+        never hits across events.
     interned / intern_hits / scratch_reuses:
         Retired: PMFs are no longer hash-consed and the fold kernel has no
         scratch buffer, so these always read 0 (as does the derived

@@ -329,8 +329,8 @@ class HCSystem:
         #: (base PMF, pending ids, pressure) -> memoised drop decision.
         self._drop_cache: Dict[int, Tuple[PMF, Tuple[int, ...], float,
                                           DropDecision]] = {}
-        #: Batched Eq. 1 fold kernel of this run (identity-keyed fold memo
-        #: over the cached tail PMFs).  Installed process-wide around the
+        #: Batched Eq. 1 fold kernel of this run (identity-keyed memos that
+        #: live for one mapping event).  Installed process-wide around the
         #: event loop so dropping policies share it; ``None`` on the naive
         #: path, which also *shields* the run from any outer folder.
         self._folder: Optional[ChainFolder] = (
@@ -553,6 +553,9 @@ class HCSystem:
     # ------------------------------------------------------------------
     def _mapping_event(self, now: int) -> None:
         self.num_mapping_events += 1
+        if self._folder is not None:
+            # Fold memos serve one event; the tail cache carries chains on.
+            self._folder.start_event()
         self._trace(now, "mapping_event")
         self._reactive_drop_queues(now)
         if self.config.drop_expired_batch:
@@ -609,6 +612,10 @@ class HCSystem:
                     decision = cached[3]
                     self.perf.drop_cache_hits += 1
             if decision is None:
+                # The policy reads the machine's tail chain, so the no-drop
+                # chain is folded once per machine (and cached on the
+                # incremental path).
+                chain = self._tail_chain(machine, now)
                 view = MachineQueueView(
                     machine_id=machine.id,
                     now=now,
@@ -616,6 +623,7 @@ class HCSystem:
                     entries=tuple(self._queue_entry(task_id, machine)
                                   for task_id in pending),
                     pressure=pressure,
+                    chain=chain,
                 )
                 decision = dropper.evaluate_queue(view)
                 self.perf.drop_evaluations += 1
@@ -630,6 +638,13 @@ class HCSystem:
                 self._task_closed()
                 self._trace(now, "dropped_proactive", task_id=task_id,
                             machine_id=machine.id)
+            if self.config.incremental and decision.chain is not None:
+                # The policy already folded the survivors' chain behind the
+                # drops: the tail cache takes it instead of refolding.
+                survivors = machine.pending_snapshot()
+                if len(decision.chain) == len(survivors):
+                    self._tail_cache[machine.id] = (base, survivors,
+                                                    list(decision.chain))
 
     # -- step 3: mapping -------------------------------------------------
     def _map_tasks(self, now: int) -> None:
@@ -661,6 +676,15 @@ class HCSystem:
         self.perf.plane_evals += ctx.plane_evals
         self.perf.plane_rounds += ctx.plane_rounds
         self._apply_assignments(assignments, now)
+        if self.config.incremental:
+            # Extend the tail chains of busy machines that took tasks while
+            # this event's fold memo still holds the mapper's appended
+            # folds.  An idle machine starts its head at dispatch, which
+            # moves the base and discards the chain anyway.
+            for state in machine_states:
+                machine = self._machine_by_id[state.machine_id]
+                if state.version and machine.running_task is not None:
+                    self._tail_chain(machine, now)
 
     def _apply_assignments(self, assignments: Sequence[Assignment], now: int) -> None:
         for assignment in assignments:
@@ -793,26 +817,37 @@ class HCSystem:
         return completion_pmf(prev, exec_pmf, task.deadline)
 
     def _tail_pmf(self, machine: Machine, now: int) -> PMF:
-        """Completion PMF of the machine queue's tail (Eq. 1 chained).
+        """Completion PMF of the machine queue's tail (Eq. 1 chained)."""
+        chain = self._tail_chain(machine, now)
+        return chain[-1] if chain else self._machine_base_pmf(machine, now)
+
+    def _tail_chain(self, machine: Machine, now: int) -> List[PMF]:
+        """Completion PMFs of every pending task, in queue order (Eq. 1).
 
         The incremental path caches, per machine, the base PMF, the pending
-        ids and every intermediate fold of the chain.  A lookup whose base is
-        bitwise-identical to the cached one reuses the longest common prefix
-        of the pending queue and folds only what changed: an enqueue appends
-        one fold, a drop at position ``k`` rebuilds from ``k``, and an
-        untouched queue costs no fold at all.  Any base change (the clock
-        entered the running task's support, or a new task started) discards
-        the chain, so results are exactly those of a full recomputation.
+        ids and every intermediate fold of the chain, and returns that
+        cached list itself: callers must not mutate it.  A lookup whose
+        base is bitwise-identical to the cached one reuses the longest
+        common prefix of the pending queue and folds only what changed: an
+        enqueue appends one fold, a drop at position ``k`` rebuilds from
+        ``k``, and an untouched queue costs no fold at all.  Any base
+        change (the clock entered the running task's support, or a new
+        task started) discards the chain, so results are exactly those of
+        a full recomputation.  The proactive dropper reads this same list
+        and hands back its survivors' chain after drops, so each machine
+        has one chain.
         """
-        base = self._machine_base_pmf(machine, now)
         pending = machine.pending_snapshot()
         if not pending:
-            return base
+            return []
+        base = self._machine_base_pmf(machine, now)
         if not self.config.incremental:
+            chain: List[PMF] = []
             tail = base
             for task_id in pending:
                 tail = self._fold_task(tail, machine, task_id)
-            return tail
+                chain.append(tail)
+            return chain
         cached = self._tail_cache.get(machine.id)
         keep = 0
         prefix: List[PMF] = []
@@ -823,7 +858,7 @@ class HCSystem:
                 keep += 1
             if keep == len(pending) == len(cached_pending):
                 self.perf.tail_cache_hits += 1
-                return cached_prefix[-1]
+                return cached_prefix
             prefix = cached_prefix[:keep]
             self.perf.tail_cache_extends += 1
         else:
@@ -833,7 +868,7 @@ class HCSystem:
             prev = self._fold_task(prev, machine, task_id)
             prefix.append(prev)
         self._tail_cache[machine.id] = (base, pending, prefix)
-        return prefix[-1]
+        return prefix
 
     def _task_view(self, task_id: int) -> TaskView:
         task = self.tasks[task_id]

@@ -29,6 +29,7 @@ import numpy as np
 from ..metrics.collector import TrialMetrics, collect_trial_metrics
 from ..records import Params, Record
 from ..sim.fault_events import EXECUTION_SEED_OFFSET, FAULT_SEED_OFFSET
+from ..sim.perf import PerfStats
 from ..sim.system import SystemConfig
 from ..sim.task import Task
 from ..workload.arrivals import rate_for_oversubscription
@@ -289,9 +290,14 @@ class StreamingSimulation:
         self._consumed = consumed
 
     def _perf_counters(self) -> Dict[str, float]:
-        """Cumulative perf counters for per-window delta attribution."""
+        """Cumulative perf counters for per-window delta attribution.
+
+        The derived rates (``PerfStats.DROPPED_KEYS``) are left out: the
+        difference of two cumulative ratios is not a rate of anything.
+        """
         return {k: float(v) for k, v in self.system.perf.to_dict().items()
-                if isinstance(v, (int, float))}
+                if isinstance(v, (int, float))
+                and k not in PerfStats.DROPPED_KEYS}
 
     # ------------------------------------------------------------------
     # Results

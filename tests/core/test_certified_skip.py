@@ -7,18 +7,25 @@ drop indices and robustness values as re-folding every window, the same
 phase-1 machine as scoring every free machine, and a bound that is never
 below the exact chance.  Bases may be sub-probability or empty, and
 deadlines may fall at or before the base's origin.
+
+The heuristic also reads the simulator's tail chain when a view carries
+one: given that chain, it must decide bit for bit as when it folds its own,
+and the survivors' chain it hands back must be the Eq. 1 chain of the kept
+tasks.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.completion import (ChainFolder, QueueEntry, active_folder,
                                    chance_of_success, chance_upper_bound,
-                                   completion_pmf)
+                                   completion_pmf, queue_completion_pmfs)
 from repro.core.dropping import MachineQueueView, ProactiveHeuristicDropping
 from repro.core.pet import PETMatrix
 from repro.core.pmf import PMF
@@ -122,6 +129,38 @@ def test_skip_keeps_every_decision(view, beta, eta, with_folder):
     assert list(decision.drop_indices) == expected
     assert abs(decision.robustness_before - before) <= 1e-12
     assert abs(decision.robustness_after - after) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=queue_views(), beta=st.floats(min_value=1.0, max_value=3.0),
+       eta=st.integers(min_value=1, max_value=4), with_folder=st.booleans())
+def test_shared_chain_keeps_every_bit(view, beta, eta, with_folder):
+    policy = ProactiveHeuristicDropping(beta=beta, eta=eta)
+    with active_folder(None):
+        chain = queue_completion_pmfs(view.base_pmf, view.entries)
+    with active_folder(ChainFolder() if with_folder else None):
+        own = policy.evaluate_queue(view)
+        shared = policy.evaluate_queue(replace(view, chain=chain))
+    assert shared.drop_indices == own.drop_indices
+    assert shared.robustness_before.hex() == own.robustness_before.hex()
+    assert shared.robustness_after.hex() == own.robustness_after.hex()
+    if not own.drop_indices:
+        assert own.chain is None and shared.chain is None
+        return
+    kept = [entry for n, entry in enumerate(view.entries)
+            if n not in own.drop_indices]
+    with active_folder(None):
+        expected = queue_completion_pmfs(view.base_pmf, kept)
+    assert len(shared.chain) == len(own.chain) == len(kept)
+    for got, mine, want in zip(shared.chain, own.chain, expected):
+        assert got.identical(want) and mine.identical(want)
+
+
+def test_view_rejects_a_chain_of_the_wrong_length():
+    entry = QueueEntry(task_id=0, exec_pmf=PMF.delta(3), deadline=9)
+    with pytest.raises(ValueError, match="chain"):
+        MachineQueueView(machine_id=0, now=0, base_pmf=PMF.delta(0),
+                         entries=(entry,), chain=[])
 
 
 @settings(max_examples=300, deadline=None)

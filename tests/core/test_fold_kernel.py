@@ -85,7 +85,7 @@ class TestFoldBitIdentity:
 
     def test_positional_options_are_rejected(self):
         # The options are keyword-only: a stale positional pruning
-        # threshold must not bind to ``memo_limit``.
+        # threshold must not bind to any of them.
         with pytest.raises(TypeError):
             ChainFolder(1e-12)
 
@@ -134,6 +134,29 @@ class TestMemo:
         assert fourth is third
         assert fourth.identical(completion_pmf(prev, exec_pmf, -5))
 
+    def test_start_event_empties_every_pmf_table(self):
+        folder = ChainFolder(numerics="fast")
+        prev = PMF(0, [0.25, 0.25, 0.25, 0.25])
+        exec_pmf = PMF(3, [0.25, 0.75])
+        first = folder.fold(prev, exec_pmf, 2)
+        folder.chance(first, 5)
+        folder.mean(first)
+        folder.append_chance(prev, exec_pmf, 2)
+        folder.append_mean(prev, exec_pmf, 2)
+        folder.fold_batch(prev, [exec_pmf], [2])
+        folder.start_event()
+        for table in (folder._memo, folder._chance_memo, folder._mean_memo,
+                      folder._append_chance_memo, folder._append_mean_memo,
+                      folder._prev_cums, folder._fft_memo):
+            assert not table
+        # The tables keyed on PET entries survive the event.
+        assert folder._cdf and folder._moments and folder._rfft
+        # A repeat after the event boundary is a real fold, same bits.
+        hits = folder.memo_hits
+        again = folder.fold(prev, exec_pmf, 2)
+        assert folder.memo_hits == hits
+        assert again is not first and again.identical(first)
+
     def test_chance_memo_matches_mass_before(self):
         folder = ChainFolder()
         pmf = PMF(5, [0.25, 0.5, 0.25])
@@ -172,88 +195,6 @@ class TestActiveFolder:
         with active_folder(folder):
             assert chance_of_success(pmf, 7) == pmf.mass_before(7)
         assert chance_of_success(pmf, 7) == pmf.mass_before(7)
-
-
-class TestAdaptiveGates:
-    """Self-disable behaviour of the fold memo.
-
-    The gate is a heuristic (a fixed hit-rate threshold over a fixed probe
-    window); these tests pin that an oscillating workload whose repeats
-    are too rare trips it, that tripping it never changes a fold result,
-    and that the counter surfaced through ``PerfStats`` reflects the
-    frozen state.
-    """
-
-    def _oscillating_folds(self, folder, rng, rounds, repeat_every):
-        """Drive the folder with mostly-fresh folds, repeating one in
-        ``repeat_every`` (the oscillation: brief bursts of reuse inside a
-        stream of unique work), and return the (inputs, results) seen."""
-        seen = []
-        hot = None
-        for i in range(rounds):
-            if hot is not None and repeat_every and i % repeat_every == 0:
-                prev, exec_pmf, deadline = hot
-            else:
-                prev = _random_pmf(rng, size_lo=8, size_hi=24)
-                exec_pmf = _random_pmf(rng, origin_lo=1, origin_hi=6,
-                                       size_hi=6)
-                # Deadline strictly inside the predecessor support, so the
-                # fold runs the mixture branch and the clamped memo key
-                # stays distinct per deadline.
-                deadline = prev.origin + 1 + int(
-                    rng.integers(1, prev.probs.size - 1))
-                hot = (prev, exec_pmf, deadline)
-            result = folder.fold(prev, exec_pmf, deadline)
-            seen.append(((prev, exec_pmf, deadline), result))
-        return seen
-
-    def test_memo_gate_self_disables_without_corrupting_results(self, monkeypatch):
-        monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 256)
-        rng = np.random.default_rng(5)
-        folder = ChainFolder()
-        # ~3% repeats: far below the 10% break-even, so after the probe
-        # window the memo must switch itself off and drop its entries.
-        seen = self._oscillating_folds(folder, rng, rounds=600,
-                                       repeat_every=32)
-        assert folder._memo_active is False
-        assert len(folder._memo) == 0
-        hits_frozen = folder.memo_hits
-        # The folder keeps folding correctly after the gate tripped: every
-        # result (pre- and post-disable) matches the naive composition.
-        for (prev, exec_pmf, deadline), result in seen[::7]:
-            expected = completion_pmf(prev, exec_pmf, deadline)
-            assert result.identical(expected)
-        # Repeats no longer hit (or store) anything.
-        (prev, exec_pmf, deadline), result = seen[-1]
-        again = folder.fold(prev, exec_pmf, deadline)
-        assert again.identical(result)
-        assert folder.memo_hits == hits_frozen
-        assert len(folder._memo) == 0
-
-    def test_memo_gate_stays_on_for_repetitive_workloads(self, monkeypatch):
-        monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 128)
-        rng = np.random.default_rng(6)
-        folder = ChainFolder()
-        # Every other fold repeats: ~50% hit rate keeps the memo alive.
-        self._oscillating_folds(folder, rng, rounds=600, repeat_every=2)
-        assert folder._memo_active is True
-        assert folder.memo_hits > 0
-
-    def test_perf_stats_reflect_frozen_counters(self, monkeypatch):
-        from repro.sim.perf import PerfStats
-
-        monkeypatch.setattr(ChainFolder, "MEMO_WINDOW", 256)
-        rng = np.random.default_rng(8)
-        folder = ChainFolder()
-        self._oscillating_folds(folder, rng, rounds=600, repeat_every=32)
-        assert folder._memo_active is False
-        # The simulator copies the folder counter onto PerfStats at
-        # result() time; once the gate tripped the copied value must stop
-        # moving even though folds continue.
-        before = PerfStats(fold_memo_hits=folder.memo_hits)
-        self._oscillating_folds(folder, rng, rounds=100, repeat_every=4)
-        after = PerfStats(fold_memo_hits=folder.memo_hits)
-        assert after.fold_memo_hits == before.fold_memo_hits
 
 
 def _sup_norm(a: PMF, b: PMF) -> float:

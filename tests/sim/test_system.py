@@ -9,6 +9,8 @@ from repro.core.dropping import (DropDecision, DroppingPolicy,
                                  ProactiveHeuristicDropping, ThresholdDropping)
 from repro.core.pet import PETMatrix
 from repro.core.pmf import PMF
+from repro.experiments.runner import (TrialSpec, build_scenario_for_spec,
+                                      build_system_for_trial)
 from repro.mapping import FCFS, MinMin, PAM
 from repro.sim.machine import Machine, MachineType
 from repro.sim.perf import PerfStats
@@ -408,6 +410,49 @@ class TestPerfStats:
         a PAM+heuristic run must keep hitting both."""
         assert heuristic_perf.fold_memo_hits > 0
         assert heuristic_perf.drop_cache_hits > 0
+
+
+class TestOneChainPerMachine:
+    """The dropper reads the tail cache's chain, and the folder's memos
+    hold no PMF past the mapping event that made it."""
+
+    #: ``ChainFolder`` tables that hold chain or appended PMFs.
+    PMF_TABLES = ("_memo", "_chance_memo", "_mean_memo",
+                  "_append_chance_memo", "_append_mean_memo", "_prev_cums",
+                  "_fft_memo")
+
+    def test_memos_are_event_scoped_and_the_chain_is_shared(self):
+        spec = TrialSpec(scenario_name="spec", level="40k", scale=0.002,
+                         gamma=1.0, queue_capacity=6, seed=42,
+                         mapper_name="PAM", dropper_name="heuristic")
+        system = build_system_for_trial(build_scenario_for_spec(spec), spec,
+                                        np.random.default_rng(spec.seed))
+        folder = system._folder
+        leftovers = []
+        reactive = system._reactive_drop_queues
+
+        def first_step(now):
+            # The first step of every mapping event: start_event ran.
+            leftovers.extend((now, name) for name in self.PMF_TABLES
+                             if getattr(folder, name))
+            reactive(now)
+
+        system._reactive_drop_queues = first_step
+        evaluate = system.dropper.evaluate_queue
+        views = []
+
+        def checked(view):
+            assert view.chain is system._tail_cache[view.machine_id][2]
+            views.append(view)
+            return evaluate(view)
+
+        system.dropper.evaluate_queue = checked
+        result = system.run()
+        assert result.num_mapping_events > 0
+        assert result.num_proactive_drops > 0
+        assert leftovers == []
+        assert views and result.perf.drop_evaluations == len(views)
+        assert result.perf.fold_memo_hits > 0
 
 
 class TestTracing:

@@ -82,6 +82,18 @@ class TestLifecycle:
         service.run_until(1_500)
         assert [w.end for w in seen] == [500, 1_000, 1_500]
 
+    def test_window_perf_has_no_derived_rates(self):
+        # A difference of two cumulative ratios is not a rate: windows
+        # carry counter deltas only.
+        service = StreamingSimulation(StreamSpec(seed=1)).run_until(1_500)
+        windows = service.timeline().to_dict()["windows"]
+        assert windows
+        for window in windows:
+            perf = window["perf"]
+            assert perf and "pmf_folds" in perf
+            assert "tail_cache_hit_rate" not in perf
+            assert "intern_hit_rate" not in perf
+
 
 class TestChunkInvariance:
     def test_chunk_size_invariant(self):
