@@ -106,8 +106,9 @@ def collect_trial_metrics(result: SimulationResult,
                           pricing: Optional[PricingModel] = None,
                           warmup: Optional[int] = None,
                           cooldown: Optional[int] = None) -> TrialMetrics:
-    """Extract all standard metrics from one simulation result."""
-    total = len(result.tasks)
+    """Extract all standard metrics from one simulation result (carried
+    counts included; see :func:`robustness_report`)."""
+    total = result.num_tasks
     if warmup is None:
         warmup = default_exclusion(total)
     if cooldown is None:

@@ -66,12 +66,11 @@ class DropBreakdown(Record):
 
 
 def drop_breakdown(result: SimulationResult) -> DropBreakdown:
-    """Count dropped tasks by kind over all tasks of a run."""
-    counts = {status: 0 for status in TaskStatus}
-    for task in result.tasks.values():
-        counts[task.status] += 1
+    """Count dropped tasks by kind over all tasks of a run (carried
+    counts included)."""
+    counts = result.tasks_by_status()
     return DropBreakdown(
-        reactive=counts[TaskStatus.DROPPED_REACTIVE],
-        proactive=counts[TaskStatus.DROPPED_PROACTIVE],
-        expired_batch=counts[TaskStatus.DROPPED_EXPIRED_BATCH],
+        reactive=counts.get(TaskStatus.DROPPED_REACTIVE, 0),
+        proactive=counts.get(TaskStatus.DROPPED_PROACTIVE, 0),
+        expired_batch=counts.get(TaskStatus.DROPPED_EXPIRED_BATCH, 0),
     )

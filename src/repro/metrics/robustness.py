@@ -90,22 +90,31 @@ def robustness_report(result: SimulationResult, warmup: int | None = None,
     """Compute the robustness report of a run.
 
     When ``warmup``/``cooldown`` are omitted they default to the scaled
-    equivalent of the paper's 100-task exclusion on each side.
+    equivalent of the paper's 100-task exclusion on each side.  Carried
+    counts (:attr:`SimulationResult.carried`) are measured too; they have
+    no arrival order, so an exclusion while any are carried raises
+    ``ValueError``.
     """
-    total = len(result.tasks)
+    total = result.num_tasks
     if warmup is None:
         warmup = default_exclusion(total)
     if cooldown is None:
         cooldown = default_exclusion(total)
+    carried = sum(result.carried.values())
+    if carried and (warmup or cooldown):
+        raise ValueError(f"cannot exclude warm-up/cool-down tasks: "
+                         f"{carried} finished tasks are carried as counts "
+                         f"only")
     tasks = measured_tasks(result, warmup, cooldown)
 
     counts = {status: 0 for status in TaskStatus}
+    counts.update(result.carried)
     for task in tasks:
         counts[task.status] += 1
 
     return RobustnessReport(
         total_tasks=total,
-        measured_tasks=len(tasks),
+        measured_tasks=len(tasks) + carried,
         on_time=counts[TaskStatus.COMPLETED_ON_TIME],
         completed_late=counts[TaskStatus.COMPLETED_LATE],
         dropped_reactive=counts[TaskStatus.DROPPED_REACTIVE],

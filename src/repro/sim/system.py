@@ -169,6 +169,10 @@ class SimulationResult:
     #: only attaches transfer counters then, keeping topology-free trial
     #: metrics byte-identical to older spools.
     topology_active: bool = False
+    #: Terminal tasks counted by status but not held in ``tasks``: the
+    #: finished tasks a restored service carries over from its snapshot.
+    #: Empty for batch trials.
+    carried: Dict[TaskStatus, int] = field(default_factory=dict)
     #: Hot-path work counters of the run (``None`` only for hand-built
     #: results in tests; :meth:`HCSystem.result` always attaches them).
     #: Excluded from equality so identical outcomes compare equal even
@@ -176,9 +180,14 @@ class SimulationResult:
     perf: Optional[PerfStats] = field(default=None, compare=False)
 
     # ------------------------------------------------------------------
+    @property
+    def num_tasks(self) -> int:
+        """Every task submitted: those held plus those carried as counts."""
+        return len(self.tasks) + sum(self.carried.values())
+
     def tasks_by_status(self) -> Dict[TaskStatus, int]:
-        """Histogram of final task statuses."""
-        counts: Dict[TaskStatus, int] = {}
+        """Histogram of final task statuses (carried counts included)."""
+        counts: Dict[TaskStatus, int] = dict(self.carried)
         for task in self.tasks.values():
             counts[task.status] = counts.get(task.status, 0) + 1
         return counts
@@ -302,6 +311,9 @@ class HCSystem:
 
         self.batch_queue = BatchQueue()
         self.tasks: Dict[int, Task] = {}
+        #: Terminal tasks known by status count only (a restored service's
+        #: finished tasks; see :attr:`SimulationResult.carried`).
+        self.carried: Dict[TaskStatus, int] = {}
         self._machine_by_id: Dict[int, Machine] = {m.id: m for m in self.machines}
         self._total_queue_capacity = sum(m.queue_capacity for m in self.machines)
         self._sampled_exec: Dict[int, int] = {}
@@ -976,6 +988,7 @@ class HCSystem:
             transfer_time=self.transfer_time_total,
             transfer_wait=self.transfer_wait_total,
             topology_active=self._bound_topology is not None,
+            carried=dict(self.carried),
             perf=self.perf,
         )
 

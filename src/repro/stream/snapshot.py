@@ -5,14 +5,25 @@ A snapshot captures everything that determines the future of a
 layout :class:`_Snapshot` declares: the
 :class:`~repro.stream.service.StreamSpec` (the platform, PET and policies
 rebuild from seeds alone), the engine clock and pending events in dispatch
-order, every task ever submitted, per-machine runtime state, the batch
-queue in FIFO order, the execution-sampling RNG state (exact integers),
-the traffic stream position (the stream is a pure function of the seed,
-so the count of accepted events re-derives it) and the live-metrics
-accumulators; plus, while a fault process is active, the fault stream
-position, down / slowed / partitioned machines, cancelled completions and
-churn counters, and while a topology moves data, the link-group clocks and
-transfer counters (transfer scheduling draws no randomness).
+order, the in-flight tasks plus per-status counters of the finished ones,
+per-machine runtime state, the batch queue in FIFO order, the
+execution-sampling RNG state (exact integers), the traffic stream
+position (the stream is a pure function of the seed, so the count of
+accepted events re-derives it) and the live-metrics accumulators; plus,
+while a fault process is active, the fault stream position, down /
+slowed / partitioned machines, cancelled completions and churn counters,
+and while a topology moves data, the link-group clocks and transfer
+counters (transfer scheduling draws no randomness).
+
+A finished (terminal) task can never change again, and the service's
+metrics apply no warm-up/cool-down exclusion, so all it still contributes
+is its status: the snapshot writes every task that is not terminal, plus
+any terminal one a pending engine event still names (a crash-cancelled
+completion), and folds the rest into the ``finished`` counters.  A
+checkpoint's task section therefore grows with the tasks in flight, not
+with uptime.  The section is conditional: a snapshot with no finished
+task omits it, and one written before it existed (holding every task)
+loads as zero counts and restores through the same path.
 
 What is deliberately *not* serialised: the simulator's incremental
 completion-PMF caches.  Every cache is gated on bitwise-identical inputs,
@@ -37,7 +48,7 @@ from ..sim.events import Event, SimulationEnd, TaskArrival, TaskCompletion
 from ..sim.fault_events import (MachineCrash, MachineRestart, PartitionEnd,
                                 PartitionStart, SlowdownEnd, SlowdownStart)
 from ..sim.perf import PerfStats
-from ..sim.task import Task
+from ..sim.task import Task, TaskStatus
 from .live_metrics import LiveState
 from .service import StreamSpec
 
@@ -143,6 +154,22 @@ class _Topology(Record):
 
 
 @dataclass
+class _Finished(Record):
+    """Terminal tasks folded out of ``tasks``, counted by status (the field
+    names are the :class:`~repro.sim.task.TaskStatus` values)."""
+
+    completed_on_time: int
+    completed_late: int
+    dropped_reactive: int
+    dropped_proactive: int
+    dropped_expired_batch: int
+
+
+#: The statuses :class:`_Finished` counts, in field order.
+_FINISHED = tuple(TaskStatus(f.name) for f in dataclass_fields(_Finished))
+
+
+@dataclass
 class _Snapshot(Record):
     format: str
     spec: StreamSpec
@@ -150,6 +177,7 @@ class _Snapshot(Record):
     next_task_id: int
     traffic_consumed: int
     engine: _Engine
+    #: Tasks not yet terminal, plus terminal ones pending events name.
     tasks: List[Task]
     machines: List[_Machine]
     #: The batch queue in FIFO order.
@@ -162,8 +190,10 @@ class _Snapshot(Record):
     #: bound, so snapshots without them keep the pre-axis layout.
     faults: Optional[_Faults] = None
     topology: Optional[_Topology] = None
+    #: Written only once some task finished; absent, the counts are zero.
+    finished: Optional[_Finished] = None
 
-    CONDITIONAL = ("faults", "topology")
+    CONDITIONAL = ("faults", "topology", "finished")
 
 
 def _read_attrs(cls: Any, source: object) -> Any:
@@ -185,10 +215,32 @@ def _section(where: str) -> Iterator[None]:
 # Capture
 # ----------------------------------------------------------------------
 
+def _fold_finished(system: Any, pending: List[Event]
+                   ) -> Tuple[List[Task], Optional[_Finished]]:
+    """The tasks a snapshot keeps (not terminal, or named by a pending
+    event) and the per-status counts of the rest, on top of the counts the
+    system already carries (``None`` while there are none)."""
+    named = {event.task_id for event in pending
+             if isinstance(event, (TaskArrival, TaskCompletion))}
+    counts = dict.fromkeys(_FINISHED, 0)
+    counts.update(system.carried)
+    kept = []
+    for task in system.tasks.values():
+        if task.status in counts and task.id not in named:
+            counts[task.status] += 1
+        else:
+            kept.append(task)
+    if not any(counts.values()):
+        return kept, None
+    return kept, _Finished(*counts.values())
+
+
 def snapshot_state(service: "StreamingSimulation") -> Dict[str, object]:
     """Serialise the full live state of a service to a JSON-ready dict."""
     system = service.system
     engine = system.engine
+    pending = engine.pending_snapshot()
+    tasks, finished = _fold_finished(system, pending)
     faults = topology = None
     if system.fault_injector is not None:
         faults = _Faults(
@@ -218,8 +270,8 @@ def snapshot_state(service: "StreamingSimulation") -> Dict[str, object]:
         next_task_id=service._next_task_id,
         traffic_consumed=service._consumed,
         engine=_Engine(now=engine.now, dispatched=engine.dispatched_events,
-                       pending=engine.pending_snapshot()),
-        tasks=list(system.tasks.values()),
+                       pending=pending),
+        tasks=tasks,
         machines=[_Machine(id=m.id, running_task=m.running_task,
                            pending=m.pending_tasks, busy_time=m.busy_time,
                            started_tasks=m.started_tasks)
@@ -230,7 +282,7 @@ def snapshot_state(service: "StreamingSimulation") -> Dict[str, object]:
         perf=system.perf,
         rng_state=_RngState(**system.rng.bit_generator.state),
         live=service.live.state(),
-        faults=faults, topology=topology).to_dict()
+        faults=faults, topology=topology, finished=finished).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -271,11 +323,25 @@ def _restore(snapshot: _Snapshot,
                                   chunk_tasks=chunk_tasks)
     system = service.system
 
+    # Finished tasks the snapshot carries as counts only: each is an id
+    # minted that no kept task holds, or the metrics would count it twice.
+    carried: Dict[TaskStatus, int] = {}
+    if snapshot.finished is not None:
+        for status, count in zip(_FINISHED, vars(snapshot.finished).values()):
+            _check_count(f"finished.{status.value}", count)
+            if count:
+                carried[status] = count
+        _check_count("finished", sum(carried.values()),
+                     max(snapshot.next_task_id - len(snapshot.tasks), 0),
+                     "next_task_id less the tasks kept")
+
     # Stream positions are replayed one event at a time, so each is bounded
     # by a count it cannot exceed: every id minted is a task in the
-    # snapshot, every consumed arrival minted one id, and every fault onset
-    # consumed was dispatched or is still pending in the engine.
-    _check_count("next_task_id", snapshot.next_task_id, len(snapshot.tasks),
+    # snapshot or a carried count, every consumed arrival minted one id,
+    # and every fault onset consumed was dispatched or is still pending in
+    # the engine.
+    _check_count("next_task_id", snapshot.next_task_id,
+                 len(snapshot.tasks) + sum(carried.values()),
                  "the number of tasks")
     _check_count("traffic_consumed", snapshot.traffic_consumed,
                  snapshot.next_task_id, "next_task_id")
@@ -292,11 +358,18 @@ def _restore(snapshot: _Snapshot,
     service._horizon = snapshot.horizon
 
     # Tasks, machines and the batch queue (FIFO order preserved so expiry
-    # tie-breaking reproduces exactly).
+    # tie-breaking reproduces exactly).  Ids are unique and below
+    # next_task_id, or the run would later mint one twice.
     system.tasks.clear()
+    system.carried = carried
     machines_by_id = {m.id: m for m in system.machines}
     for i, task in enumerate(snapshot.tasks):
         with _section(f"tasks[{i}]"):
+            if task.id in system.tasks:
+                raise ValueError(f"duplicate task id {task.id}")
+            if task.id >= snapshot.next_task_id:
+                raise ValueError(f"task id {task.id} is not below "
+                                 f"next_task_id ({snapshot.next_task_id})")
             if not 0 <= task.type_id < len(system.task_types):
                 raise ValueError(f"unknown task type {task.type_id}")
             if (task.machine_id is not None

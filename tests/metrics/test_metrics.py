@@ -120,6 +120,39 @@ class TestDropBreakdown:
         assert breakdown.proactive_share == 0.0
 
 
+class TestCarriedCounts:
+    """Finished tasks a restored service carries as status counts only
+    measure exactly like the same tasks held in full."""
+
+    def _split(self, statuses, held):
+        """``make_result(statuses)`` with all but the last ``held`` tasks
+        folded into carried counts."""
+        result = make_result(statuses)
+        for task_id in range(len(statuses) - held):
+            status = result.tasks.pop(task_id).status
+            result.carried[status] = result.carried.get(status, 0) + 1
+        return result
+
+    def test_counts_measure_like_tasks(self):
+        statuses = [ON, PRO, LATE, ON, REACT, BATCH, ON]
+        whole = collect_trial_metrics(make_result(statuses),
+                                      warmup=0, cooldown=0)
+        split = self._split(statuses, held=2)
+        assert split.num_tasks == len(statuses)
+        assert split.tasks_by_status() == \
+            make_result(statuses).tasks_by_status()
+        assert drop_breakdown(split) == whole.drops
+        assert collect_trial_metrics(split, warmup=0, cooldown=0) == whole
+
+    def test_exclusion_with_carried_counts_raises(self):
+        split = self._split([ON] * 400, held=3)
+        with pytest.raises(ValueError, match="397 finished tasks are carried"):
+            robustness_report(split, warmup=0, cooldown=1)
+        assert default_exclusion(split.num_tasks) == 2
+        with pytest.raises(ValueError, match="carried as counts only"):
+            collect_trial_metrics(split)
+
+
 class TestCollector:
     def test_collect_without_pricing(self):
         metrics = collect_trial_metrics(make_result([ON, ON, LATE]), warmup=0, cooldown=0)

@@ -6,6 +6,12 @@ under ``tests/stream/golden/`` is the exact output of one producer below,
 as compact JSON in the key order the writers use.  ``wall_time_s`` (the
 one field that differs between two runs of the same configuration) is
 zeroed wherever it appears before comparing.
+
+``golden/legacy/`` holds the ``*_t3000.json`` snapshots as builds wrote
+them before finished tasks were folded into per-status counters (every
+task ever submitted, no ``finished`` section).  Each must restore and
+reproduce the unedited ``*_restored_timeline.json`` beside the current
+files.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from repro.api.plan import ExperimentPlan
 from repro.stream import StreamSpec, StreamingSimulation
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+LEGACY = os.path.join(GOLDEN, "legacy")
 
 #: Clean, crash-restart + tiered topology, slowdown, and a topology that
 #: moves data (the tiered topology's default ``task_bytes = 0`` moves
@@ -96,6 +103,29 @@ def test_golden_bytes(name, tmp_path):
     produced = PRODUCERS[name](str(tmp_path)).encode("utf-8")
     with open(os.path.join(GOLDEN, name), "rb") as handle:
         assert produced == handle.read()
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("service", sorted(SERVICES))
+def test_legacy_snapshot_restores(service):
+    """A snapshot holding every task restores through the same path: it
+    reproduces the restored timeline, and its next snapshot is the one the
+    current layout's restore writes."""
+    with open(os.path.join(LEGACY, f"{service}_t3000.json"),
+              encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert "finished" not in payload
+    restored = StreamingSimulation.restore(payload)
+    assert not restored.system.carried
+    restored.run_for(1000)
+    assert _dumps(restored.timeline().to_dict()) == _golden(
+        f"{service}_restored_timeline.json")
+    assert _dumps(restored.snapshot()) == _golden(
+        f"{service}_restored_t4000.json")
 
 
 @pytest.mark.parametrize("service", sorted(SERVICES))

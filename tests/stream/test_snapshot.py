@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro.metrics.robustness import robustness_report
+from repro.sim.task import TaskStatus
 from repro.stream import (StreamSpec, StreamingSimulation, read_snapshot,
                           restore_state, snapshot_state, write_snapshot)
 
@@ -159,3 +161,92 @@ class TestSnapshotPayload:
         resumed = StreamingSimulation.restore(loaded).run_until(2_000)
         straight = StreamingSimulation(PIN_SPECS[0]).run_until(2_000)
         assert comparable(resumed) == comparable(straight)
+
+
+def _terminal(task):
+    return TaskStatus(task["status"]).is_terminal
+
+
+class TestFinishedCounters:
+    """A snapshot keeps the in-flight tasks and counts the finished ones
+    by status, so its task section tracks the work in flight, not uptime."""
+
+    def test_snapshot_holds_no_finished_task(self):
+        service = StreamingSimulation(PIN_SPECS[0]).run_until(4_000)
+        payload = snapshot_round_trip(service)
+        assert payload["tasks"]
+        assert not any(_terminal(task) for task in payload["tasks"])
+        finished = payload["finished"]
+        assert sum(finished.values()) + len(payload["tasks"]) == \
+            payload["next_task_id"]
+        counts = service.system.result().tasks_by_status()
+        assert finished == {status.value: counts.get(status, 0)
+                            for status in TaskStatus if status.is_terminal}
+
+    def test_task_section_does_not_grow_with_uptime(self):
+        # In-flight work fluctuates between checkpoints, so compare the
+        # largest task section of the checkpoints taken every 250 units
+        # over the second half of each uptime.
+        uptime = 4_000
+        service = StreamingSimulation(PIN_SPECS[0])
+
+        def largest_section(end):
+            sizes = []
+            for horizon in range(end - uptime // 2 + 250, end + 1, 250):
+                service.run_until(horizon)
+                sizes.append(len(json.dumps(snapshot_state(service)["tasks"])))
+            return max(sizes)
+
+        at_1x = largest_section(uptime)
+        at_4x = largest_section(4 * uptime)
+        assert at_4x <= 1.2 * at_1x, (at_1x, at_4x)
+
+    def test_section_is_written_once_a_task_finished(self):
+        service = StreamingSimulation(PIN_SPECS[0]).run_until(1)
+        payload = snapshot_round_trip(service)
+        assert "finished" not in payload
+        resumed = restore_state(payload).run_until(1_000)
+        straight = StreamingSimulation(PIN_SPECS[0]).run_until(1_000)
+        assert comparable(resumed) == comparable(straight)
+
+    def test_cancelled_completion_keeps_its_dropped_task(self):
+        # At t=2000 a crash has cancelled task 135's completion, and the
+        # requeued task was then dropped: the pending event still names it.
+        spec = StreamSpec(seed=3, faults_name="crash-restart",
+                          fault_params={"mtbf": 800, "repair_mean": 200},
+                          topology_name="tiered-edge-cloud")
+        paused = StreamingSimulation(spec).run_until(2_000)
+        payload = snapshot_round_trip(paused)
+        named = {event["task_id"] for event in payload["engine"]["pending"]
+                 if event["kind"] == "completion"}
+        kept = [task for task in payload["tasks"] if _terminal(task)]
+        assert [task["id"] for task in kept] == [135]
+        assert kept[0]["status"] == "dropped_proactive"
+        assert 135 in named
+        resumed = restore_state(payload).run_until(4_000)
+        straight = StreamingSimulation(spec).run_until(4_000)
+        assert comparable(resumed) == comparable(straight)
+
+    def test_restored_service_writes_the_straight_layout(self):
+        spec = PIN_SPECS[5]
+        straight = StreamingSimulation(spec).run_until(3_000)
+        resumed = restore_state(snapshot_round_trip(
+            StreamingSimulation(spec).run_until(1_500))).run_until(3_000)
+        # Perf counters, and the windows' perf deltas, are compare=False.
+        layouts = []
+        for service in (straight, resumed):
+            payload = snapshot_round_trip(service)
+            del payload["perf"], payload["live"]["last_perf"]
+            for window in payload["live"]["closed"]:
+                del window["perf"]
+            layouts.append(payload)
+        assert layouts[0] == layouts[1]
+
+    def test_exclusion_needs_every_task(self):
+        service = StreamingSimulation(PIN_SPECS[0]).run_until(1_000)
+        resumed = restore_state(snapshot_round_trip(service))
+        result = resumed.system.result()
+        assert result.carried and result.num_tasks == len(
+            service.system.result().tasks)
+        with pytest.raises(ValueError, match="carried as counts only"):
+            robustness_report(result, warmup=1, cooldown=0)

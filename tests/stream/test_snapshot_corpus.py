@@ -183,3 +183,46 @@ def test_cli_rejects_a_task_outside_the_platform(field, message, tmp_path,
     err = capsys.readouterr().err
     assert f"snapshot tasks[{index}] {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("duplicate", "snapshot tasks[1] is invalid: duplicate task id {first}"),
+    ("unminted", "snapshot tasks[{last}] is invalid: task id {beyond} is "
+                 "not below next_task_id ({next})"),
+], ids=["duplicate", "unminted"])
+def test_cli_rejects_a_task_id_the_run_would_mint_again(edit, message,
+                                                        tmp_path, capsys):
+    # Both used to restore and fail mid-run: a duplicate id with a bare
+    # KeyError, an id at or past next_task_id once the stream minted it.
+    payload = json.loads(_snapshot_json())
+    tasks = payload["tasks"]
+    values = dict(first=tasks[0]["id"], last=len(tasks) - 1,
+                  beyond=payload["next_task_id"] + 5,
+                  next=payload["next_task_id"])
+    if edit == "duplicate":
+        tasks[1]["id"] = values["first"]
+    else:
+        tasks[-1]["id"] = values["beyond"]
+    snap = tmp_path / "ids.json"
+    snap.write_text(json.dumps(payload))
+    assert main(["serve", "--restore", str(snap), "--horizon", "4000",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message.format(**values) in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_finished_counts_past_the_ids_minted(tmp_path, capsys):
+    # Every carried count stands for an id minted that no kept task holds,
+    # so an inflated one would count tasks the service never saw.
+    payload = json.loads(_snapshot_json())
+    payload["finished"]["completed_on_time"] += 1
+    snap = tmp_path / "inflated.json"
+    snap.write_text(json.dumps(payload))
+    assert main(["serve", "--restore", str(snap), "--horizon", "4000",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    minted = payload["next_task_id"] - len(payload["tasks"])
+    assert (f"snapshot finished is invalid: {minted + 1} exceeds "
+            f"next_task_id less the tasks kept ({minted})") in err
+    assert "Traceback" not in err
