@@ -47,16 +47,19 @@ __all__ = [
     "queue_completion_with_drops",
     "chance_of_success",
     "chance_upper_bound",
+    "certified_mean",
     "NUMERICS_PROFILES",
     "FAST_FOLD_SUP_NORM_TOL",
 ]
 
 #: Recognised numerics profiles.  ``exact`` reproduces the naive arithmetic
 #: bit-for-bit; it reads the closed-form chance (:func:`chance_upper_bound`)
-#: only as a certified upper bound that skips folds which cannot change a
-#: decision.  ``fast`` trades float ordering for closed-form chance and mean
-#: *scores* (the batched FFT fold, :meth:`ChainFolder.fold_batch`, has no
-#: caller on the simulator's paths yet).
+#: only as a certified upper bound and the closed-form mean
+#: (:func:`certified_mean`) only as a certified ordering, both to skip folds
+#: which cannot change a decision.  ``fast`` trades float ordering for
+#: closed-form chance and mean *scores* (the batched FFT fold,
+#: :meth:`ChainFolder.fold_batch`, has no caller on the simulator's paths
+#: yet).
 NUMERICS_PROFILES = ("exact", "fast")
 
 #: Documented per-PMF sup-norm bound of the ``fast`` profile against
@@ -167,6 +170,15 @@ def _exec_cdf(exec_pmf: PMF) -> np.ndarray:
     np.cumsum(ep, out=cdf[1:])
     cdf.setflags(write=False)
     return cdf
+
+
+def _exec_moments(exec_pmf: PMF) -> Tuple[float, float]:
+    """``(total mass, first moment)`` of ``exec_pmf`` (absolute times)."""
+    ep = exec_pmf.probs
+    mass = float(ep.sum())
+    moment = float(exec_pmf.origin * mass
+                   + np.dot(np.arange(ep.size, dtype=np.float64), ep))
+    return mass, moment
 
 
 def _chance_bound(prev: PMF, exec_pmf: PMF, deadline: int,
@@ -381,10 +393,7 @@ class ChainFolder:
         hit = self._moments.get(key)
         if hit is not None and hit[0] is exec_pmf:
             return hit[1], hit[2]
-        ep = exec_pmf.probs
-        mass = float(ep.sum())
-        moment = float(exec_pmf.origin * mass
-                       + np.dot(np.arange(ep.size, dtype=np.float64), ep))
+        mass, moment = _exec_moments(exec_pmf)
         self._moments[key] = (exec_pmf, mass, moment)
         return mass, moment
 
@@ -727,6 +736,82 @@ def chance_upper_bound(prev: PMF, exec_pmf: PMF, deadline: int) -> float:
     folder = _ACTIVE_FOLDER
     return _chance_bound(prev, exec_pmf, int(deadline),
                          _exec_cdf if folder is None else folder._exec_cdf)
+
+
+#: Machine epsilon and smallest normal float64, the float terms of
+#: :func:`certified_mean`'s slack.
+_ULP = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+#: Rows ``1`` and ``t`` for ``t = 0, 1, ...``: one dot product with a
+#: slice of it gives the slice's mass and first moment.  Longer tails
+#: build their own.
+_WEIGHTS = np.stack([np.ones(1024), np.arange(1024, dtype=np.float64)])
+_WEIGHTS.setflags(write=False)
+
+
+def certified_mean(prev: PMF, exec_pmf: PMF,
+                   deadline: int) -> Tuple[float, float]:
+    """Closed-form expected completion of one Eq. 1 append, with its slack.
+
+    Returns ``(closed, slack)`` such that the exact
+    ``fold(prev, exec, d).mean()`` lies within ``slack`` of ``closed``.
+    ``closed`` is the moment algebra of :meth:`ChainFolder.append_mean`
+    (the on-time slice's mass and moment combined with the execution
+    PMF's, plus the drop branch's), computed from slice reductions.  The
+    slack covers the pruning the closed form skips (at most ``nbins *
+    DEFAULT_PRUNE_EPS`` of mass, which moves the mean by at most that
+    mass times the support span over the remaining mass) and float
+    rounding (support length times ulp times the latest time).  It is
+    ``inf`` when the remaining mass does not clearly exceed the pruned
+    mass bound, which covers every fold whose exact mean raises
+    ``ValueError``.  ``docs/INVARIANTS.md`` gives the derivation; the
+    loop backend's expected-completion machine choice (MM, MSD and the
+    ordered heuristics) skips folds with it.
+
+    The execution moments are read from the installed folder's cache when
+    one is active and computed on the spot otherwise; the value is the
+    same.
+    """
+    if prev.is_empty:
+        return 0.0, float("inf")
+    pp = prev.probs
+    po = prev.origin
+    n = pp.size
+    k = min(max(int(deadline) - po, 0), n)
+    # Mass and moment (times relative to ``po``) of each slice in one
+    # reduction; no prefix sum is built per tail.
+    weights = (_WEIGHTS[:, :n] if n <= _WEIGHTS.shape[1]
+               else np.stack([np.ones(n), np.arange(n, dtype=np.float64)]))
+    mass, moment = np.dot(weights[:, k:], pp[k:]).tolist()
+    lo, hi = po + k, po + n - 1
+    m = 0
+    if k > 0 and not exec_pmf.is_empty:
+        on_mass, on_moment = np.dot(weights[:, :k], pp[:k]).tolist()
+        folder = _ACTIVE_FOLDER
+        e_mass, e_moment = (_exec_moments(exec_pmf) if folder is None
+                            else folder._exec_moments(exec_pmf))
+        mass += on_mass * e_mass
+        moment += on_moment * e_mass + on_mass * e_moment
+        eo = exec_pmf.origin
+        m = exec_pmf.probs.size
+        conv_hi = po + k - 1 + eo + m - 1
+        lo, hi = ((po + eo, conv_hi) if k == n
+                  else (min(lo, po + eo), max(hi, conv_hi)))
+    if not mass > 0.0:
+        return 0.0, float("inf")
+    closed = po + moment / mass
+    nbins = hi - lo + 1
+    removed = nbins * DEFAULT_PRUNE_EPS
+    terms = nbins + n + m
+    remaining = mass * (1.0 - terms * _ULP) - removed
+    if not remaining > removed:
+        return closed, float("inf")
+    latest = max(abs(lo), abs(hi), 1)
+    slack = (removed * (hi - lo) / remaining
+             + 16.0 * terms * latest * (_ULP + _TINY / remaining))
+    return closed, slack
 
 
 def chance_of_success(completion: PMF, deadline: int) -> float:

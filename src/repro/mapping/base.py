@@ -564,7 +564,8 @@ class OrderedMappingHeuristic(MappingHeuristic):
 
     def map_tasks(self, tasks: Sequence[TaskView], machines: Sequence[MachineState],
                   ctx: MappingContext) -> List[Assignment]:
-        from .kernel import SMALL_PLANE_TASKS, run_ordered_plane
+        from .kernel import (SMALL_PLANE_TASKS, _min_mean_machine,
+                             run_ordered_plane)
 
         spec = self.score_spec
         threshold = (ctx.small_plane_tasks if ctx.small_plane_tasks is not None
@@ -579,8 +580,7 @@ class OrderedMappingHeuristic(MappingHeuristic):
             free_machines = [m for m in machines if m.has_free_slot]
             if not free_machines:
                 break
-            machine = min(free_machines,
-                          key=lambda m: (ctx.expected_completion(m, task), m.machine_id))
+            machine = _min_mean_machine(ctx, task, free_machines)
             machine.commit(ctx.completion_if_appended(machine, task))
             assignments.append(Assignment(task.task_id, machine.machine_id))
         return assignments

@@ -35,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.completion import FAST_FOLD_SUP_NORM_TOL, chance_upper_bound
+from ..core.completion import (FAST_FOLD_SUP_NORM_TOL, certified_mean,
+                               chance_upper_bound)
 from .base import (Assignment, MachineState, MappingContext, ScoreSpec,
                    TaskView, TwoPhaseMappingHeuristic)
 
@@ -102,7 +103,7 @@ def register_score_column(name: str,
     return column
 
 
-register_score_column(
+_EXPECTED_COMPLETION = register_score_column(
     "expected_completion",
     lambda ctx, machine, task: ctx.expected_completion(machine, task),
     kind="appended_mean")
@@ -230,14 +231,19 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
     tb1 = spec.phase1_tiebreak if spec is not None else ("machine_id",)
     tb2 = spec.phase2_tiebreak if spec is not None else ("task_id",)
     per_machine = heuristic.assign_per_machine
-    # PAM's phase 1 under exact numerics: bounded, same pick (see
-    # ``_max_chance_machine``).
-    max_chance = (spec is not None
-                  and spec.phase1 == ("neg_chance_of_success",)
-                  and tb1 == ("machine_id",)
-                  and SCORE_COLUMNS.get("neg_chance_of_success") is _NEG_CHANCE
-                  and not ctx._fast
-                  and not _overrides_scores(heuristic))
+    # PAM's phase 1 and MM's/MSD's under exact numerics: bounded walks,
+    # same pick (see ``_max_chance_machine`` and ``_min_mean_machine``).
+    walk: Optional[Callable[[MappingContext, TaskView,
+                             Sequence[MachineState]], MachineState]] = None
+    if (spec is not None and len(spec.phase1) == 1
+            and tb1 == ("machine_id",)
+            and not ctx._fast
+            and not _overrides_scores(heuristic)):
+        column = SCORE_COLUMNS.get(spec.phase1[0])
+        if column is _NEG_CHANCE:
+            walk = _max_chance_machine
+        elif column is _EXPECTED_COMPLETION:
+            walk = _min_mean_machine
 
     unmapped: List[TaskView] = list(tasks)
     assignments: List[Assignment] = []
@@ -252,9 +258,8 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
         # the timing reference, so it must not pay for generality).
         pairs: List[Tuple[TaskView, MachineState]] = []
         for task in unmapped:
-            if max_chance:
-                pairs.append((task, _max_chance_machine(ctx, task,
-                                                        free_machines)))
+            if walk is not None:
+                pairs.append((task, walk(ctx, task, free_machines)))
                 continue
             if tb1 == ("machine_id",):
                 key = lambda m: (heuristic.phase1_score(ctx, m, task),
@@ -325,6 +330,42 @@ def _max_chance_machine(ctx: MappingContext, task: TaskView,
         if chance > best_chance or (chance == best_chance
                                     and machine.machine_id < best.machine_id):
             best, best_chance = machine, chance
+    return best
+
+
+def _min_mean_machine(ctx: MappingContext, task: TaskView,
+                      machines: Sequence[MachineState]) -> MachineState:
+    """``min(machines, key=(expected completion, machine_id))`` with fewer folds.
+
+    Each machine's exact mean lies within ``slack`` of the closed form
+    ``closed`` of :func:`~repro.core.completion.certified_mean`.  Machines
+    are visited in ascending ``closed - slack``; a machine whose lower
+    bound exceeds the best exact mean found so far cannot win or tie, and
+    neither can any machine after it, so the visit stops there.  An
+    infinite slack (a fold that may lose most of its mass to pruning, or
+    whose mean is undefined) puts the machine first, so its mean -- or its
+    ``ValueError`` -- is always computed.  The pick is the reference
+    loop's.  Under the ``fast`` profile the means are closed-form already
+    and every machine is scored.
+    """
+    if ctx._fast:
+        return min(machines, key=lambda m: (ctx.expected_completion(m, task),
+                                            m.machine_id))
+    bounds: List[Tuple[float, int, MachineState]] = []
+    for m in machines:
+        closed, slack = certified_mean(m.tail_pmf, ctx.exec_pmf(task, m),
+                                       task.deadline)
+        bounds.append((closed - slack, m.machine_id, m))
+    bounds.sort(key=lambda bm: (bm[0], bm[1]))
+    best = bounds[0][2]
+    best_mean = float("inf")
+    for low, _, machine in bounds:
+        if low > best_mean:
+            break
+        mean = ctx.expected_completion(machine, task)
+        if mean < best_mean or (mean == best_mean
+                                and machine.machine_id < best.machine_id):
+            best, best_mean = machine, mean
     return best
 
 

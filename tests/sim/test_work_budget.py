@@ -22,7 +22,7 @@ from repro.experiments.runner import TrialSpec, run_trial
 BUDGETS = {
     "batch-drop": (7_979, 841, 7_195, 4_457, 8_791),
     "batch-map": (4_050, 5_506, 63_262, 0, 19_773),
-    "batch-churn": (7_905, 842, 7_543, 4_416, 14_490),
+    "batch-churn": (7_905, 840, 7_543, 4_416, 8_766),
 }
 
 
